@@ -9,7 +9,8 @@ Selection-style operations (max, median, downsampling by max) remember
 which element won. Those indices drive the backward scatter, and they also
 feed the finite-difference checker: if a perturbed evaluation selects a
 different winner the probe sits on a kink and is reported as a tie rather
-than a failure.
+than a failure. How close each winner sits to a tie (its margin) is only
+computed on the nominal tape of gradcheck, the one reader of it.
 """
 from __future__ import annotations
 
@@ -68,6 +69,9 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[Node] = []
+        # gradcheck sets this on its nominal tape; elsewhere tie margins
+        # are never computed
+        self._margins = False
         self._watched: dict[int, Variable] = {}
         self._watched_params: list[Parameter] = []
 
@@ -101,7 +105,11 @@ class Tape:
         return [n.selection for n in self.nodes if n.selection is not None]
 
     def min_selection_margin(self) -> float:
-        """Smallest distance between any selection winner and a competitor."""
+        """Smallest distance between any selection winner and a competitor.
+
+        Only gradcheck's nominal tape records margins; any other tape
+        reports inf.
+        """
         margin = math.inf
         for n in self.nodes:
             if n.selection is not None:
@@ -164,8 +172,11 @@ def as_variable(value) -> Variable:
 
 def record(inputs: Sequence[Variable], out_value: Tensor, grad_fn: GradFn, *,
            selection: Array | None = None,
-           tie_margin: float = math.inf) -> Variable:
-    """Append one operation node; constant inputs contribute no node id."""
+           tie_margin: Callable[[], float] | None = None) -> Variable:
+    """Append one operation node; constant inputs contribute no node id.
+
+    tie_margin is called only on a tape that records margins.
+    """
     tapes = {v.tape for v in inputs if v.tape is not None}
     if len(tapes) > 1:
         raise RuntimeError("inputs belong to different tapes")
@@ -173,7 +184,8 @@ def record(inputs: Sequence[Variable], out_value: Tensor, grad_fn: GradFn, *,
         return Variable(out_value, None, None)
     tape = tapes.pop()
     parents = tuple(v.node if v.tape is tape else None for v in inputs)
-    nid = tape._append(Node(parents, out_value.shape, grad_fn, selection, tie_margin))
+    margin = tie_margin() if tape._margins and tie_margin is not None else math.inf
+    nid = tape._append(Node(parents, out_value.shape, grad_fn, selection, margin))
     return Variable(out_value, tape, nid)
 
 
@@ -273,20 +285,25 @@ def pow_const(x, exponent: float) -> Variable:
     return _unary(x, lambda xd: xd ** e, lambda xd, out: e * xd ** (e - 1.0))
 
 
+def _clamp_margin(xd: Array, low: float, high: float) -> float:
+    """Smallest distance of any input to a clamp boundary."""
+    boundary = np.minimum(np.abs(xd - low), np.abs(high - xd))
+    return float(boundary.min()) if boundary.size else math.inf
+
+
 def clamp(x, low: float, high: float) -> Variable:
     """Clip to [low, high]; gradient is passed through strictly inside."""
     x = as_variable(x)
     xd = x.value.data
     out = np.clip(xd, low, high)
     mask = (xd > low) & (xd < high)
-    boundary = np.minimum(np.abs(xd - low), np.abs(high - xd))
-    margin = float(boundary.min()) if boundary.size else math.inf
 
     def grad_fn(g: Array):
         return (g * mask,)
 
     return record((x,), Tensor._wrap(out), grad_fn,
-                  selection=mask.astype(np.int8), tie_margin=margin)
+                  selection=mask.astype(np.int8),
+                  tie_margin=lambda: _clamp_margin(xd, low, high))
 
 
 # --- reductions ---
@@ -308,7 +325,6 @@ def _reduce_select(x, axis: int, kind: str, scale: float) -> Variable:
     axis = _normalize_axis(axis, len(x.shape))
     xd = x.value.data
     values, arg = _reduce_raw(kind, xd, axis)
-    margin = _selection_margin(xd, arg, axis)
     in_shape = x.shape
 
     def grad_fn(g: Array):
@@ -318,8 +334,8 @@ def _reduce_select(x, axis: int, kind: str, scale: float) -> Variable:
         return (out,)
 
     out_value = values if scale == 1.0 else values * scale
-    return record((x,), Tensor._wrap(out_value), grad_fn,
-                  selection=arg, tie_margin=margin)
+    return record((x,), Tensor._wrap(out_value), grad_fn, selection=arg,
+                  tie_margin=lambda: _selection_margin(xd, arg, axis))
 
 
 def reduce_max(x, axis: int, scale: float = 1.0) -> Variable:
@@ -330,8 +346,9 @@ def reduce_max(x, axis: int, scale: float = 1.0) -> Variable:
 
 def reduce_median(x, axis: int, scale: float = 1.0) -> Variable:
     """Median along one axis, times a constant. The median is the element
-    at sorted position floor(extent/2) (stable sort), so the gradient flows
-    to exactly one input element."""
+    at sorted position floor(extent/2), equal values ordered by index as a
+    stable sort would (found without one), so the gradient flows to
+    exactly one input element."""
     return _reduce_select(x, axis, "median", scale)
 
 
@@ -495,6 +512,7 @@ def gradcheck(f: Callable[..., Variable], inputs: Sequence[Tensor], *,
     """
     inputs = [t if isinstance(t, Tensor) else Tensor(t) for t in inputs]
     tape = Tape()
+    tape._margins = True
     variables = [tape.leaf(t) for t in inputs]
     root = f(*variables)
     if root.value.size != 1:

@@ -13,6 +13,7 @@ are namespaced with '/' (param/..., opt/..., rng/..., stats/..., best/...).
 """
 from __future__ import annotations
 
+import os
 import struct
 from typing import Mapping
 
@@ -134,10 +135,30 @@ def decode(blob: bytes) -> dict[str, object]:
     return entries
 
 
-def save(path, entries: Mapping[str, object]) -> None:
+def write_atomic(path, data: bytes) -> None:
+    """Replace the file at path with data in one step.
+
+    The bytes go to a temporary file beside path, which is then renamed
+    over it, so readers see the old file or the new one, never a torn
+    one, even if the process dies mid-write. (There is no fsync: a power
+    loss may still lose the new file.)
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(path, "wb") as fh:
-            fh.write(encode(entries))
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def save(path, entries: Mapping[str, object]) -> None:
+    """Write an archive atomically; see write_atomic."""
+    blob = encode(entries)
+    try:
+        write_atomic(path, blob)
     except OSError as e:
         raise IoError(f"cannot write archive {path}: {e}") from e
 

@@ -538,6 +538,10 @@ def cmd_eval(ckpt_path, cfg: FullConfig | None = None,
     splits = dataio.partition(dataset, cfg.data.folds, cfg.data.val_fraction,
                               cfg.data.seed)
     fold = int(np.asarray(entries.get("trainer/fold", np.array([0]))).reshape(-1)[0])
+    if fold >= len(splits):
+        raise ValidationError(
+            f"config: checkpoint holds fold {fold}, but the configuration "
+            f"partitions the data into {len(splits)} fold(s)")
     trainer = Trainer.load(ckpt_path, splits[fold], lib)
     mismatches = 0
     for (partition, metric), best in sorted(trainer.best.items()):

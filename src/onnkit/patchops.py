@@ -181,7 +181,6 @@ def _downsample_variable(x: Variable, k: int) -> Variable:
     cells = _down_views(xd, k)
     arg = np.argmax(cells, axis=-1)
     values = np.take_along_axis(cells, arg[..., None], axis=-1)[..., 0]
-    margin = ag._selection_margin(cells, arg, cells.ndim - 1)
     c, mm, nn = xd.shape
 
     def grad_fn(g: Array):
@@ -191,8 +190,8 @@ def _downsample_variable(x: Variable, k: int) -> Variable:
         spread = spread.transpose(0, 1, 3, 2, 4)
         return (np.ascontiguousarray(spread.reshape(c, mm, nn)),)
 
-    return record((x,), Tensor._wrap(values), grad_fn,
-                  selection=arg, tie_margin=margin)
+    return record((x,), Tensor._wrap(values), grad_fn, selection=arg,
+                  tie_margin=lambda: ag._selection_margin(cells, arg, cells.ndim - 1))
 
 
 def _upsample_variable(x: Variable, k: int) -> Variable:

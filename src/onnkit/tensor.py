@@ -167,13 +167,44 @@ def _normalize_axis(axis: int, ndim: int) -> int:
     return axis % ndim
 
 
+def _median_pick(arr: np.ndarray, axis: int):
+    """(values, winner-indices) of the element a stable sort would place
+    at position k = floor(extent/2) along the axis.
+
+    Only the k-th value v of each row is sorted out; the winner is then
+    recovered exactly as the (number of entries equal to v among the
+    first k sorted ones)-th entry equal to v in index order. "Equal"
+    follows sort order: -0.0 ties with 0.0 and NaNs, sorted last, tie
+    with each other.
+    """
+    n = arr.shape[axis]
+    k = n // 2
+    rows = np.moveaxis(arr, axis, -1)
+    lead = rows.shape[:-1]
+    flat = rows.reshape(-1, n)
+    ordered = np.sort(flat, axis=1)
+    v = ordered[:, k:k + 1]
+    hits = flat == v
+    before = ordered[:, :k] == v
+    if np.isnan(v).any():
+        hits |= np.isnan(flat) & np.isnan(v)
+        before |= np.isnan(ordered[:, :k]) & np.isnan(v)
+    counts = hits.sum(axis=1)
+    starts = np.cumsum(counts) - counts
+    pos = np.flatnonzero(hits)[starts + before.sum(axis=1)]
+    values = flat.ravel()[pos].reshape(lead)
+    arg = (pos - np.arange(0, pos.size * n, n)).reshape(lead)
+    return values, arg
+
+
 def _reduce_raw(kind: str, arr: np.ndarray, axis: int):
     """Reduce one axis of a raw array. Returns (values, winner-indices|None).
 
-    median picks the element at sorted position floor(extent/2) using a
+    median picks the element at sorted position floor(extent/2) of a
     stable sort, so the winner index is always a valid position in the
-    original array and equal values resolve to the earliest one.
-    max resolves ties to the lowest index.
+    original array and equal values resolve to the earliest one. No sort
+    permutation is built: see _median_pick. max resolves ties to the
+    lowest index.
     """
     if kind not in REDUCE_KINDS:
         raise ValueError(f"unknown reduction {kind!r}")
@@ -182,11 +213,9 @@ def _reduce_raw(kind: str, arr: np.ndarray, axis: int):
         raise EmptyAxis(f"cannot reduce axis {axis} with extent 0")
     if kind == "sum":
         return arr.sum(axis=axis), None
-    if kind == "max":
-        arg = np.argmax(arr, axis=axis)
-    else:
-        order = np.argsort(arr, axis=axis, kind="stable")
-        arg = np.take(order, arr.shape[axis] // 2, axis=axis)
+    if kind == "median":
+        return _median_pick(arr, axis)
+    arg = np.argmax(arr, axis=axis)
     values = np.take_along_axis(arr, np.expand_dims(arg, axis), axis=axis)
     return np.squeeze(values, axis=axis), arg
 

@@ -8,8 +8,9 @@ metric; further metrics are evaluated on every partition after each epoch.
 
 For every (partition, metric) pair the best value seen so far is kept
 together with the run, the epoch and a snapshot of the parameters that
-achieved it; on ties the earlier epoch wins. A run whose loss turns NaN or
-infinite is aborted and recorded as such while the remaining runs proceed.
+achieved it; on ties the earlier epoch wins. A run whose loss, stage
+outputs or gradients turn NaN or infinite is aborted and recorded as such
+while the remaining runs proceed.
 
 save_all writes the complete session state into one archive; load restores
 it so training continues exactly where it stopped, bit for bit.
@@ -17,9 +18,11 @@ it so training continues exactly where it stopped, bit for bit.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -30,7 +33,14 @@ from . import autograd as ag
 from . import checkpoint, optim
 from .autograd import Tape
 from .dataio import FoldSplit, PairedImageDataset
-from .errors import ConstantTarget, CorruptState, NonFiniteLoss, ShapeMismatch
+from .errors import (
+    ConstantTarget,
+    CorruptState,
+    NonFiniteGradient,
+    NonFiniteLoss,
+    NonFiniteValue,
+    ShapeMismatch,
+)
 from .network import OpNetwork, build_network, network_forward
 from .oplib import OperatorConstants, OperatorSetLibrary, register_builtin_library
 from .tensor import Tensor
@@ -38,6 +48,10 @@ from .tensor import Tensor
 PARTITIONS = ("train", "val", "test")
 
 SNR_CAP_DB = 300.0
+
+# what a diverging run raises: the loss check, the stage checks of the
+# forward pass and the optimizer's gradient check
+DIVERGENCE_ERRORS = (NonFiniteLoss, NonFiniteValue, NonFiniteGradient)
 
 
 def calc_snr(pred: Tensor, target: Tensor) -> float:
@@ -263,27 +277,35 @@ class Trainer:
         self._rng = _rng_for_run(self.cfg.seed, run)
         self.record.start_run()
 
+    def _epoch_values(self) -> dict[str, tuple[dict[str, float], float]]:
+        """Train one epoch, then evaluate every partition. Returns each
+        partition's metric values and its wall time; the train partition's
+        time includes the updates."""
+        out = {}
+        t0 = time.perf_counter()
+        self._train_epoch()
+        for partition in self.partitions:
+            values = self.evaluate(partition)
+            out[partition] = (values, time.perf_counter() - t0)
+            t0 = time.perf_counter()
+        return out
+
     def _run_epochs(self) -> None:
-        """Advance the current run to the configured epoch count."""
+        """Advance the current run to the configured epoch count.
+
+        A run whose loss, stage outputs or gradients turn non-finite is
+        recorded as aborted with the reason; numpy's overflow warnings on
+        the way there are not printed, the abort status says it all.
+        """
         cfg = self.cfg
         while self._epoch < cfg.num_epochs:
-            t0 = time.perf_counter()
             try:
-                self._train_epoch()
-            except NonFiniteLoss as e:
+                with np.errstate(all="ignore"):
+                    epoch = self._epoch_values()
+            except DIVERGENCE_ERRORS as e:
                 self.record.finish_run(f"aborted: {e}")
                 return
-            train_values = self.evaluate("train")
-            train_span = time.perf_counter() - t0
-            self.record.append_epoch("train", train_values,
-                                     train_span / len(self.split.train))
-            self._update_best("train", train_values, self._run, self._epoch)
-            for partition in self.partitions:
-                if partition == "train":
-                    continue
-                t1 = time.perf_counter()
-                values = self.evaluate(partition)
-                span = time.perf_counter() - t1
+            for partition, (values, span) in epoch.items():
                 self.record.append_epoch(partition, values,
                                          span / len(self._dataset(partition)))
                 self._update_best(partition, values, self._run, self._epoch)
@@ -488,6 +510,15 @@ def best_series_value(record: TrainingRecord, partition: str,
     return pick(values)
 
 
+@contextmanager
+def _atomic_csv(path: Path):
+    """A csv writer whose rows replace the file at path in one step when
+    the block completes, and are dropped if it raises."""
+    buf = io.StringIO(newline="")
+    yield csv.writer(buf)
+    checkpoint.write_atomic(path, buf.getvalue().encode())
+
+
 def export_stats(records, out_dir) -> list[Path]:
     """Write per-partition CSV series and a fold summary.
 
@@ -508,8 +539,7 @@ def export_stats(records, out_dir) -> list[Path]:
     for rec in records:
         for part in rec.partitions:
             path = out / f"{part}_fold{rec.fold}.csv"
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
+            with _atomic_csv(path) as writer:
                 writer.writerow(["run", "epoch"] + rec.metric_names
                                 + ["per_image_time_s"])
                 for r in range(rec.run_count()):
@@ -523,8 +553,7 @@ def export_stats(records, out_dir) -> list[Path]:
     summary = out / "summary.csv"
     first = records[0]
     fold_ids = [rec.fold for rec in records]
-    with open(summary, "w", newline="") as fh:
-        writer = csv.writer(fh)
+    with _atomic_csv(summary) as writer:
         writer.writerow(["partition", "metric"]
                         + [f"fold_{f}" for f in fold_ids]
                         + ["mean", "mean_per_image_time_s"])

@@ -1,4 +1,5 @@
 """State archive codec: wire layout, determinism, corruption handling."""
+import os
 import struct
 
 import numpy as np
@@ -133,3 +134,29 @@ def test_io_failures_are_wrapped(tmp_path):
         load(str(tmp_path / "absent.ckpt"))
     with pytest.raises(IoError):
         save(str(tmp_path / "no" / "such" / "dir.ckpt"), {"a": np.float64(0)})
+
+
+def test_failed_encode_leaves_existing_archive_untouched(tmp_path):
+    path = tmp_path / "state.ckpt"
+    save(path, sample_entries())
+    before = path.read_bytes()
+    with pytest.raises(CorruptState, match="name too long"):
+        save(path, {"x" * 0x10000: np.float64(1.0)})
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["state.ckpt"]
+
+
+def test_failed_replace_leaves_existing_archive_untouched(tmp_path,
+                                                         monkeypatch):
+    path = tmp_path / "state.ckpt"
+    save(path, sample_entries())
+    before = path.read_bytes()
+
+    def refuse(src, dst):
+        raise PermissionError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(IoError, match="replace refused"):
+        save(path, {"a": np.float64(2.0)})
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["state.ckpt"]

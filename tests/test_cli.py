@@ -1,4 +1,7 @@
 """CLI: config grammar, error lines, commands end to end, exit codes."""
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -55,6 +58,14 @@ def test_operator_grammar_mixes_shared_and_per_block():
     text = text.replace("operators = 2", "operators = 4 / 0,13 / 2")
     cfg = parse_config(text)
     assert cfg.network.operators == [[4], [0, 13], [2]]
+
+
+def test_readme_config_example_is_valid():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    cfg = parse_config(example)
+    assert cfg.network.tier_sizes == [12, 32, 1]
+    assert cfg.network.operators == [[4], [13], [2]]
 
 
 def test_format_config_round_trips():
@@ -201,6 +212,58 @@ def test_eval_detects_tampered_best_value(tmp_path, capsys):
     capsys.readouterr()
     assert cmd_eval(str(ckpt)) == 2
     assert "MISMATCH" in capsys.readouterr().out
+
+
+def test_eval_with_too_few_config_folds_is_a_config_error(tmp_path, capsys):
+    path = write_config(tmp_path)
+    out = tmp_path / "out"
+    main(["train", "--config", str(path), "--out", str(out)])
+    capsys.readouterr()
+    assert main(["eval", "--ckpt", str(out / "fold1.ckpt"),
+                 "--config", str(path), "--folds", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: config: ")
+    assert "fold 1" in lines[0]
+
+
+DIVERGING = """\
+[network]
+tier_sizes = 2, 1
+kernel_sizes = 3, 3
+operators = 27 / 29
+
+[trainer]
+num_epochs = 3
+num_runs = 3
+optimizer = sgd
+lr = 6
+batch_size = 4
+
+[data]
+task = blur-inverse
+count = 8
+size = 8
+folds = 2
+val_fraction = 0.25
+"""
+
+
+def test_diverged_runs_are_recorded_and_the_session_goes_on(tmp_path, capsys):
+    # exp nodal operators at a large SGD step: two of fold 1's three runs
+    # overflow in the nodal stage, the rest train through
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(write_config(tmp_path, DIVERGING)),
+                 "--out", str(out)]) == 0
+    for fold in (0, 1):
+        assert (out / f"fold{fold}.ckpt").exists()
+    assert (out / "summary.csv").exists()
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["warning: fold 1 aborted: nodal operator 'exp' produced "
+                   "a non-finite value"] * 2
+    status = ckpt_mod.load(out / "fold1.ckpt")["trainer/status"].decode()
+    assert status.count("aborted") == 2 and "done" in status
 
 
 def test_gradcheck_passes_for_configured_sets(tmp_path, capsys):

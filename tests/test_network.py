@@ -2,8 +2,10 @@
 import numpy as np
 import pytest
 
+import onnkit.autograd as autograd_mod
 import onnkit.network as network_mod
 from onnkit.autograd import Tape
+from onnkit.dataio import make_synthetic_task, partition
 from onnkit.errors import IndivisibleExtent, ShapeMismatch
 from onnkit.network import (
     OpNetwork,
@@ -13,6 +15,7 @@ from onnkit.network import (
 )
 from onnkit.oplib import register_builtin_library
 from onnkit.tensor import Tensor
+from onnkit.trainer import Trainer, TrainerConfig
 
 from oracles import conv2d_same_multichannel
 
@@ -198,3 +201,31 @@ def test_operator_set_gradients_pass(lib, names):
     index = lib.set_by_names(*names).index
     report = check_operator_set_gradients(lib, index, seed=1)
     assert report.passed, f"{names}: max rel err {report.worst()}"
+
+
+def test_tie_margins_are_computed_only_for_gradcheck(lib, monkeypatch):
+    median_lincut = lib.set_by_names("cubic", "median", "lincut").index
+    max_tanh = lib.set_by_names("sine", "max", "tanh").index
+    net = build_network(1, [2, 1], [3, 3], [[median_lincut, max_tanh],
+                                            [conv_index(lib)]],
+                        [2, -2], library=lib)
+    net.reset_parameters(seed=0, bound=0.5)
+    calls = []
+
+    def forbidden(*args):
+        calls.append(args)
+        raise AssertionError("tie margin computed outside gradcheck")
+
+    monkeypatch.setattr(autograd_mod, "_selection_margin", forbidden)
+    monkeypatch.setattr(autograd_mod, "_clamp_margin", forbidden)
+    rng = np.random.default_rng(0)
+    network_forward(net, Tensor(rng.uniform(-1, 1, (2, 1, 8, 8))))
+    data = make_synthetic_task("identity", count=4, size=8, seed=0)
+    split = partition(data, folds=1, val_fraction=0.25, seed=0)[0]
+    cfg = TrainerConfig(num_epochs=1, optimizer="sgd", lr=0.01, batch_size=4)
+    Trainer(net, split, cfg, library=lib).train()
+    assert calls == []
+    # the same selections on gradcheck's tape do get their margins
+    with pytest.raises(AssertionError, match="outside gradcheck"):
+        check_operator_set_gradients(lib, median_lincut, attempts=1)
+    assert calls

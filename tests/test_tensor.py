@@ -1,11 +1,21 @@
 """Tensor layer: broadcasting, reductions, reshape, immutability."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from onnkit.errors import EmptyAxis, ShapeMismatch, SizeMismatch
-from onnkit.tensor import BroadcastSpec, Tensor, broadcast_binary, reduce, reshape
+from onnkit.tensor import (
+    BroadcastSpec,
+    Tensor,
+    _reduce_raw,
+    broadcast_binary,
+    reduce,
+    reshape,
+)
 
-from oracles import tile_broadcast
+from oracles import median_pick, tile_broadcast
 
 
 def test_outer_product_broadcast():
@@ -78,6 +88,56 @@ def test_reduce_median_stable_on_ties():
     values, arg = reduce("median", Tensor([2.0, 2.0, 2.0]), 0)
     assert values.item() == 2.0
     assert arg.item() == 1.0  # sorted position 1 keeps original order
+
+
+# value pools for the median property: few distinct values give heavy
+# ties, signed zeros compare equal but differ in their bits
+MEDIAN_ELEMENTS = {
+    "ties": st.sampled_from([-1.0, -0.0, 0.0, 2.0]),
+    "zeros": st.sampled_from([-0.0, 0.0]),
+    "constant": st.just(0.5),
+    "wide": st.floats(allow_nan=False, width=64),
+    "nan": st.sampled_from([np.nan, -np.inf, -0.0, 0.0, 1.0]),
+}
+
+
+@st.composite
+def median_cases(draw):
+    ndim = draw(st.integers(1, 3))
+    axis = draw(st.integers(0, ndim - 1))
+    shape = [draw(st.integers(1, 3)) for _ in range(ndim)]
+    shape[axis] = draw(st.one_of(st.integers(1, 12), st.integers(1, 500)))
+    pool = draw(st.sampled_from(sorted(MEDIAN_ELEMENTS)))
+    arr = draw(hnp.arrays(np.float64, tuple(shape),
+                          elements=MEDIAN_ELEMENTS[pool], fill=st.nothing()))
+    return arr, axis
+
+
+@settings(max_examples=150, deadline=None)
+@given(median_cases())
+def test_median_winner_is_the_stable_sort_pick(case):
+    arr, axis = case
+    values, arg = _reduce_raw("median", arr, axis)
+    order = np.argsort(arr, axis=axis, kind="stable")
+    expected = np.take(order, arr.shape[axis] // 2, axis=axis)
+    assert arg.shape == values.shape == expected.shape
+    assert np.array_equal(arg, expected)
+    picked = np.take_along_axis(arr, np.expand_dims(arg, axis), axis=axis)
+    # bitwise: -0.0 and 0.0 are told apart
+    assert values.tobytes() == np.squeeze(picked, axis=axis).tobytes()
+    if np.isnan(arr).any():
+        return  # the oracle's tuple sort does not order NaNs
+    rows = np.moveaxis(arr, axis, -1)
+    for idx in np.ndindex(rows.shape[:-1]):
+        value, index = median_pick(rows[idx])
+        assert arg[idx] == index
+        assert np.float64(values[idx]).tobytes() == np.float64(value).tobytes()
+
+
+def test_median_of_1d_input_is_0d():
+    values, arg = _reduce_raw("median", np.array([3.0, -0.0, 0.0]), 0)
+    assert values.shape == () and arg.shape == ()
+    assert int(arg) == 2 and not np.signbit(values)  # +0.0, not -0.0
 
 
 def test_reduce_max_tie_takes_lowest_index():

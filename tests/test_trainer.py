@@ -2,6 +2,7 @@
 import csv
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,12 +10,15 @@ import pytest
 from onnkit.dataio import make_synthetic_task, partition
 from onnkit.errors import (
     ConstantTarget,
+    NonFiniteGradient,
     NonFiniteLoss,
+    NonFiniteValue,
     ShapeMismatch,
     UnknownOptimizer,
 )
 from onnkit.network import build_network
 from onnkit.oplib import register_builtin_library
+import onnkit.trainer as trainer_mod
 from onnkit.tensor import Tensor
 from onnkit.trainer import (
     BUILTIN_METRICS,
@@ -164,6 +168,65 @@ def test_partial_abort_is_recorded_not_raised():
     assert len(record.series[("train", "loss")][1]) == 2
 
 
+def test_stage_overflow_aborts_the_run_and_the_next_run_completes():
+    # two exp tiers at a large SGD step: with seed 1, run 0's first update
+    # drives exp to overflow, which the nodal stage check reports, while
+    # run 1 trains through
+    exp_tanh = LIB.set_by_names("exp", "sum", "tanh").index
+    exp_identity = LIB.set_by_names("exp", "sum", "identity").index
+    net = build_network(1, [2, 1], [3, 3], [[exp_tanh], [exp_identity]],
+                        [1, 1], library=LIB)
+    data = make_synthetic_task("blur-inverse", count=8, size=8, seed=0)
+    split = partition(data, folds=1, val_fraction=0.25, seed=0)[0]
+    cfg = TrainerConfig(num_epochs=3, num_runs=2, optimizer="sgd", lr=4.0,
+                        batch_size=4, seed=1)
+    trainer = Trainer(net, split, cfg, library=LIB)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning stays quiet
+        record = trainer.train()
+    assert record.run_status == [
+        "aborted: nodal operator 'exp' produced a non-finite value", "done"]
+    assert len(record.series[("train", "loss")][1]) == 3
+
+
+@pytest.mark.parametrize("error", [NonFiniteValue, NonFiniteGradient])
+def test_stage_and_gradient_errors_abort_only_their_run(error):
+    # NonFiniteLoss is covered by test_partial_abort_is_recorded_not_raised
+    cfg = TrainerConfig(num_epochs=2, num_runs=2, optimizer="sgd", lr=0.01,
+                        seed=1)
+    trainer = make_trainer(cfg)
+    original = trainer._train_epoch
+
+    def flaky():
+        if trainer._run == 0:
+            raise error("injected failure")
+        return original()
+
+    trainer._train_epoch = flaky
+    record = trainer.train()
+    assert record.run_status == ["aborted: injected failure", "done"]
+
+
+def test_divergence_during_evaluation_leaves_no_partial_epoch():
+    cfg = TrainerConfig(num_epochs=2, num_runs=1, optimizer="sgd", lr=0.01,
+                        seed=1)
+    trainer = make_trainer(cfg)
+    original = trainer.evaluate
+
+    def flaky(partition):
+        if trainer._epoch == 1 and partition == "val":
+            raise NonFiniteValue("injected failure")
+        return original(partition)
+
+    trainer.evaluate = flaky
+    with pytest.raises(NonFiniteLoss):
+        trainer.train()
+    assert trainer.record.run_status == ["aborted: injected failure"]
+    for part in trainer.partitions:
+        assert len(trainer.record.series[(part, "loss")][0]) == 1
+        assert len(trainer.record.times[part][0]) == 1
+
+
 def test_unknown_optimizer_fails_at_construction():
     cfg = TrainerConfig(num_epochs=1, num_runs=1, optimizer="cgd")
     with pytest.raises(UnknownOptimizer):
@@ -259,6 +322,26 @@ def test_export_stats_layout(tmp_path):
                        "mean_per_image_time_s"]
     assert ["train", "loss"] in [r[:2] for r in rows[1:]]
     assert ["val", "snr"] in [r[:2] for r in rows[1:]]
+
+
+def test_failed_export_leaves_earlier_csv_files_whole(tmp_path, monkeypatch):
+    cfg = TrainerConfig(num_epochs=2, num_runs=1, optimizer="sgd", lr=0.02,
+                        seed=5)
+    record = make_trainer(cfg).train()
+    export_stats(record, tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    calls = []
+
+    def failing_fmt(value):
+        calls.append(value)
+        if len(calls) == 3:  # inside the first CSV's rows
+            raise ValueError("injected failure")
+        return "%.17g" % value
+
+    monkeypatch.setattr(trainer_mod, "_fmt", failing_fmt)
+    with pytest.raises(ValueError, match="injected failure"):
+        export_stats(record, tmp_path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_best_series_value_respects_criterion():
