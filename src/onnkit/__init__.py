@@ -33,8 +33,8 @@ from .oplib import (
     register_builtin_library,
 )
 from .optim import Adam, SGD, make_optimizer
-from .patchops import UnfoldPlan, fold, get_plan, resample, unfold
-from .tensor import BroadcastSpec, Tensor, broadcast_binary, reduce, reshape
+from .patchops import UnfoldPlan, get_plan, resample, unfold
+from .tensor import Tensor
 from .trainer import (
     MetricSpec,
     Trainer,
@@ -48,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Adam",
-    "BroadcastSpec",
     "CustomBackward",
     "GradcheckReport",
     "MetricSpec",
@@ -71,19 +70,15 @@ __all__ = [
     "add_custom_operator",
     "apply_custom",
     "backward",
-    "broadcast_binary",
     "build_network",
     "calc_snr",
     "check_operator_set_gradients",
     "export_stats",
-    "fold",
     "get_plan",
     "gradcheck",
     "make_optimizer",
     "network_forward",
-    "reduce",
     "register_builtin_library",
-    "reshape",
     "resample",
     "unfold",
 ]

@@ -1,5 +1,8 @@
 """Tape-based reverse-mode automatic differentiation.
 
+Values on the tape are plain read-only float64 ndarrays: an outside value
+enters through Tensor(...) (in Tape.leaf and as_variable), and record marks
+every op's output read-only, so no recorded value can be mutated later.
 Every tracked computation appends a node to a Tape. Nodes are recorded in
 evaluation order, so a node's parents always precede it; the backward pass
 is a single reverse sweep that accumulates gradients additively at fan-out
@@ -25,8 +28,9 @@ from .errors import (
     NonFiniteValue,
     NonScalarRoot,
     ShapeMismatch,
+    SizeMismatch,
 )
-from .tensor import BroadcastSpec, Shape, Tensor, _normalize_axis, _reduce_raw
+from .tensor import Shape, Tensor, _normalize_axis, _reduce_raw
 
 Array = np.ndarray
 GradFn = Callable[[Array], Sequence[Array | None]]
@@ -73,16 +77,14 @@ class Tape:
         # are never computed
         self._margins = False
         self._watched: dict[int, Variable] = {}
-        self._watched_params: list[Parameter] = []
 
     def _append(self, node: Node) -> int:
         self.nodes.append(node)
         return len(self.nodes) - 1
 
     def leaf(self, value) -> "Variable":
-        t = value if isinstance(value, Tensor) else Tensor(value)
-        nid = self._append(Node((), t.shape, None))
-        return Variable(t, self, nid)
+        arr = _engine_array(value)
+        return Variable(arr, self, self._append(Node((), arr.shape, None)))
 
     def watch(self, param: Parameter) -> "Variable":
         """Register a parameter as a tracked leaf.
@@ -94,7 +96,6 @@ class Tape:
         if var is None:
             var = self.leaf(param.value)
             self._watched[id(param)] = var
-            self._watched_params.append(param)
         return var
 
     def watched_variable(self, param: Parameter) -> "Variable | None":
@@ -118,7 +119,7 @@ class Tape:
 
 
 class Variable:
-    """A value paired with its position on a tape.
+    """A read-only array paired with its position on a tape.
 
     Variables with node None are constants: they participate in the math
     but receive no gradient.
@@ -126,7 +127,7 @@ class Variable:
 
     __slots__ = ("value", "tape", "node")
 
-    def __init__(self, value: Tensor, tape: Tape | None, node: int | None):
+    def __init__(self, value: Array, tape: Tape | None, node: int | None):
         self.value = value
         self.tape = tape
         self.node = node
@@ -163,20 +164,35 @@ class Variable:
         return pow_const(self, exponent)
 
 
+def _engine_array(value) -> Array:
+    """A Tensor's own array, or a Tensor copy of any other value."""
+    return (value if isinstance(value, Tensor) else Tensor(value)).data
+
+
 def as_variable(value) -> Variable:
     if isinstance(value, Variable):
         return value
-    t = value if isinstance(value, Tensor) else Tensor(value)
-    return Variable(t, None, None)
+    return Variable(_engine_array(value), None, None)
 
 
-def record(inputs: Sequence[Variable], out_value: Tensor, grad_fn: GradFn, *,
+def broadcast_shape(a: Shape, b: Shape) -> Shape:
+    """numpy's broadcast of two shapes; ShapeMismatch if incompatible."""
+    try:
+        return np.broadcast_shapes(a, b)
+    except ValueError:
+        raise ShapeMismatch(f"cannot broadcast {a} with {b}") from None
+
+
+def record(inputs: Sequence[Variable], out_value: Array, grad_fn: GradFn, *,
            selection: Array | None = None,
            tie_margin: Callable[[], float] | None = None) -> Variable:
     """Append one operation node; constant inputs contribute no node id.
 
-    tie_margin is called only on a tape that records margins.
+    The output array is marked read-only. tie_margin is called only on a
+    tape that records margins.
     """
+    out_value = np.asarray(out_value)
+    out_value.flags.writeable = False
     tapes = {v.tape for v in inputs if v.tape is not None}
     if len(tapes) > 1:
         raise RuntimeError("inputs belong to different tapes")
@@ -219,48 +235,48 @@ def _selection_margin(arr: Array, arg: Array, axis: int) -> float:
 
 def add(a, b) -> Variable:
     a, b = as_variable(a), as_variable(b)
-    BroadcastSpec.align(a.shape, b.shape)
-    out = a.value.data + b.value.data
+    broadcast_shape(a.shape, b.shape)
+    out = a.value + b.value
 
     def grad_fn(g: Array):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
-    return record((a, b), Tensor._wrap(out), grad_fn)
+    return record((a, b), out, grad_fn)
 
 
 def sub(a, b) -> Variable:
     a, b = as_variable(a), as_variable(b)
-    BroadcastSpec.align(a.shape, b.shape)
-    out = a.value.data - b.value.data
+    broadcast_shape(a.shape, b.shape)
+    out = a.value - b.value
 
     def grad_fn(g: Array):
         return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
 
-    return record((a, b), Tensor._wrap(out), grad_fn)
+    return record((a, b), out, grad_fn)
 
 
 def mul(a, b) -> Variable:
     a, b = as_variable(a), as_variable(b)
-    BroadcastSpec.align(a.shape, b.shape)
-    ad, bd = a.value.data, b.value.data
+    broadcast_shape(a.shape, b.shape)
+    ad, bd = a.value, b.value
     out = ad * bd
 
     def grad_fn(g: Array):
         return _unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)
 
-    return record((a, b), Tensor._wrap(out), grad_fn)
+    return record((a, b), out, grad_fn)
 
 
 def _unary(x, forward, make_grad) -> Variable:
     x = as_variable(x)
-    xd = x.value.data
+    xd = x.value
     out = forward(xd)
     local = make_grad(xd, out)
 
     def grad_fn(g: Array):
         return (g * local,)
 
-    return record((x,), Tensor._wrap(out), grad_fn)
+    return record((x,), out, grad_fn)
 
 
 def sin(x) -> Variable:
@@ -294,14 +310,14 @@ def _clamp_margin(xd: Array, low: float, high: float) -> float:
 def clamp(x, low: float, high: float) -> Variable:
     """Clip to [low, high]; gradient is passed through strictly inside."""
     x = as_variable(x)
-    xd = x.value.data
+    xd = x.value
     out = np.clip(xd, low, high)
     mask = (xd > low) & (xd < high)
 
     def grad_fn(g: Array):
         return (g * mask,)
 
-    return record((x,), Tensor._wrap(out), grad_fn,
+    return record((x,), out, grad_fn,
                   selection=mask.astype(np.int8),
                   tie_margin=lambda: _clamp_margin(xd, low, high))
 
@@ -311,19 +327,19 @@ def clamp(x, low: float, high: float) -> Variable:
 def reduce_sum(x, axis: int) -> Variable:
     x = as_variable(x)
     axis = _normalize_axis(axis, len(x.shape))
-    values, _ = _reduce_raw("sum", x.value.data, axis)
+    values, _ = _reduce_raw("sum", x.value, axis)
     in_shape = x.shape
 
     def grad_fn(g: Array):
         return (np.broadcast_to(np.expand_dims(g, axis), in_shape),)
 
-    return record((x,), Tensor._wrap(values), grad_fn)
+    return record((x,), values, grad_fn)
 
 
 def _reduce_select(x, axis: int, kind: str, scale: float) -> Variable:
     x = as_variable(x)
     axis = _normalize_axis(axis, len(x.shape))
-    xd = x.value.data
+    xd = x.value
     values, arg = _reduce_raw(kind, xd, axis)
     in_shape = x.shape
 
@@ -334,7 +350,7 @@ def _reduce_select(x, axis: int, kind: str, scale: float) -> Variable:
         return (out,)
 
     out_value = values if scale == 1.0 else values * scale
-    return record((x,), Tensor._wrap(out_value), grad_fn, selection=arg,
+    return record((x,), out_value, grad_fn, selection=arg,
                   tie_margin=lambda: _selection_margin(xd, arg, axis))
 
 
@@ -354,27 +370,32 @@ def reduce_median(x, axis: int, scale: float = 1.0) -> Variable:
 
 def sum_all(x) -> Variable:
     x = as_variable(x)
-    out = np.asarray(x.value.data.sum())
+    out = x.value.sum()
     in_shape = x.shape
 
     def grad_fn(g: Array):
         return (np.broadcast_to(g, in_shape),)
 
-    return record((x,), Tensor._wrap(out), grad_fn)
+    return record((x,), out, grad_fn)
 
 
 # --- structure ---
 
 def reshape(x, new_shape: Sequence[int]) -> Variable:
     x = as_variable(x)
-    from .tensor import reshape as t_reshape
-    out = t_reshape(x.value, new_shape)
+    new_shape = tuple(int(s) for s in new_shape)
+    if any(s < 0 for s in new_shape):
+        raise ShapeMismatch(f"negative extent in shape {new_shape}")
+    if math.prod(new_shape) != x.value.size:
+        raise SizeMismatch(
+            f"cannot reshape {x.shape} ({x.value.size} elements) to {new_shape}"
+        )
     in_shape = x.shape
 
     def grad_fn(g: Array):
         return (np.reshape(g, in_shape),)
 
-    return record((x,), out, grad_fn)
+    return record((x,), np.reshape(x.value, new_shape), grad_fn)
 
 
 def stack(parts: Sequence[Variable], axis: int = 0) -> Variable:
@@ -384,13 +405,13 @@ def stack(parts: Sequence[Variable], axis: int = 0) -> Variable:
     shapes = {p.shape for p in parts}
     if len(shapes) != 1:
         raise ShapeMismatch(f"stack needs equal shapes, have {sorted(shapes)}")
-    out = np.stack([p.value.data for p in parts], axis=axis)
+    out = np.stack([p.value for p in parts], axis=axis)
 
     def grad_fn(g: Array):
         slots = np.moveaxis(g, axis, 0)
         return tuple(np.ascontiguousarray(slots[i]) for i in range(len(parts)))
 
-    return record(parts, Tensor._wrap(out), grad_fn)
+    return record(parts, out, grad_fn)
 
 
 # --- custom operations ---
@@ -413,7 +434,7 @@ def apply_custom(rule: CustomBackward, *inputs) -> Variable:
     """Record an operation whose backward pass is the given rule, not a
     composition of primitives."""
     variables = [as_variable(v) for v in inputs]
-    arrays = [v.value.data for v in variables]
+    arrays = [v.value for v in variables]
     out = np.asarray(rule.forward(*arrays), dtype=np.float64)
 
     def grad_fn(g: Array):
@@ -431,7 +452,7 @@ def apply_custom(rule: CustomBackward, *inputs) -> Variable:
                 )
         return grads
 
-    return record(variables, Tensor._wrap(out), grad_fn)
+    return record(variables, out, grad_fn)
 
 
 # --- backward pass ---
@@ -510,14 +531,14 @@ def gradcheck(f: Callable[..., Variable], inputs: Sequence[Tensor], *,
     than the nominal run sits on a kink; it is counted as a tie and
     skipped, never failed.
     """
-    inputs = [t if isinstance(t, Tensor) else Tensor(t) for t in inputs]
     tape = Tape()
     tape._margins = True
     variables = [tape.leaf(t) for t in inputs]
+    nominal = [v.value for v in variables]
     root = f(*variables)
     if root.value.size != 1:
         raise NonScalarRoot("gradcheck target must be scalar")
-    base_value = float(root.value.data.reshape(()))
+    base_value = float(root.value.reshape(()))
     if not math.isfinite(base_value):
         raise NonFiniteValue("gradcheck target is not finite")
     grads = backward(root)
@@ -527,7 +548,7 @@ def gradcheck(f: Callable[..., Variable], inputs: Sequence[Tensor], *,
         probe_tape = Tape()
         probe_vars = [probe_tape.leaf(Tensor._wrap(a)) for a in arrays]
         out = f(*probe_vars)
-        val = float(out.value.data.reshape(()))
+        val = float(out.value.reshape(()))
         if not math.isfinite(val):
             raise NonFiniteValue("perturbed evaluation is not finite")
         return val, probe_tape.selection_signature()
@@ -542,10 +563,9 @@ def gradcheck(f: Callable[..., Variable], inputs: Sequence[Tensor], *,
     for i, var in enumerate(variables):
         analytic = grads[var.node].data
         worst = 0.0
-        flat = inputs[i].data.reshape(-1)
-        for c in range(flat.size):
-            plus = [t.data.copy() for t in inputs]
-            minus = [t.data.copy() for t in inputs]
+        for c in range(nominal[i].size):
+            plus = [a.copy() for a in nominal]
+            minus = [a.copy() for a in nominal]
             plus[i].reshape(-1)[c] += h
             minus[i].reshape(-1)[c] -= h
             f_plus, sig_plus = evaluate(plus)

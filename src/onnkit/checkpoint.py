@@ -13,6 +13,7 @@ are namespaced with '/' (param/..., opt/..., rng/..., stats/..., best/...).
 """
 from __future__ import annotations
 
+import math
 import os
 import struct
 from typing import Mapping
@@ -114,22 +115,25 @@ def decode(blob: bytes) -> dict[str, object]:
         if rank > 32:
             raise CorruptState(f"entry {name!r} has implausible rank {rank}")
         shape = tuple(r.u64() for _ in range(rank))
-        n_items = 1
+        if tag not in (_TAG_F64, _TAG_U64, _TAG_RAW):
+            raise CorruptState(f"entry {name!r} has unknown dtype tag {tag}")
+        if tag == _TAG_RAW and rank != 1:
+            raise CorruptState(f"raw entry {name!r} must have rank 1, has {rank}")
+        needed = math.prod(shape) * (1 if tag == _TAG_RAW else 8)
+        left = len(blob) - r.pos
+        if needed > left:
+            raise CorruptState(f"entry {name!r} truncated: payload needs "
+                               f"{needed} bytes, {left} left")
         for extent in shape:
-            if extent > len(r.blob):
+            if extent > len(blob):
                 raise CorruptState(f"entry {name!r} has implausible extent {extent}")
-            n_items *= extent
+        payload = r.take(needed)
         if tag == _TAG_RAW:
-            if rank != 1:
-                raise CorruptState(f"raw entry {name!r} must have rank 1, has {rank}")
-            entries[name] = r.take(shape[0])
-        elif tag in (_TAG_F64, _TAG_U64):
+            entries[name] = payload
+        else:
             dtype = np.float64 if tag == _TAG_F64 else np.uint64
-            payload = r.take(8 * n_items)
             entries[name] = np.frombuffer(payload, dtype="<f8" if tag == _TAG_F64
                                           else "<u8").astype(dtype).reshape(shape)
-        else:
-            raise CorruptState(f"entry {name!r} has unknown dtype tag {tag}")
     if r.pos != len(blob):
         raise CorruptState(f"{len(blob) - r.pos} trailing bytes after last entry")
     return entries

@@ -10,8 +10,9 @@ Configuration is INI-like text with three sections:
 
 Lists are comma-separated. The operators key separates tiers with '/';
 each tier holds either one operator set index (shared by all its blocks)
-or one index per block, e.g. "operators = 4 / 0,13 / 3". Comments start
-with '#' or ';'. Validation failures name the offending line.
+or one index per block, e.g. "operators = 4 / 0,13 / 3". Comments are
+whole lines starting with '#' or ';'; a value holding whitespace followed
+by '#' or ';' is rejected. Validation failures name the offending line.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure.
 Errors print one line to stderr: "error: <domain>: <message>".
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -29,6 +31,7 @@ import numpy as np
 
 from . import dataio
 from .errors import (
+    NonFiniteLoss,
     OnnkitError,
     ParseError,
     UnknownOptimizer,
@@ -110,6 +113,11 @@ def _parse_sections(text: str) -> dict[str, dict[str, _Raw]]:
                 f"config: line {lineno}: key outside any [section]"
             )
         key, _, value = line.partition("=")
+        if re.search(r"\s[#;]", value):
+            raise ParseError(
+                f"config: line {lineno}: inline comment in {value.strip()!r}; "
+                f"put comments on their own line"
+            )
         key = key.strip()
         if not key:
             raise ParseError(f"config: line {lineno}: empty key")
@@ -381,7 +389,7 @@ def format_config(cfg: FullConfig) -> str:
         "[data]",
         f"task = {d.task}",
     ]
-    if d.path:
+    if d.path is not None:
         lines.append(f"path = {d.path}")
     lines += [
         f"count = {d.count}",
@@ -458,12 +466,16 @@ def cmd_describe(cfg: FullConfig, library: OperatorSetLibrary | None = None,
 
 
 def _train_one_fold(cfg: FullConfig, split, library, config_text, seed):
+    """The fold's trainer, and the error if every one of its runs diverged."""
     net = network_from_config(cfg, library)
     fold_cfg = replace(cfg.trainer, seed=seed)
     trainer = Trainer(net, split, fold_cfg, metrics_from_config(cfg),
                       config_text, library)
-    trainer.train()
-    return trainer
+    try:
+        trainer.train()
+    except NonFiniteLoss as e:
+        return trainer, e
+    return trainer, None
 
 
 def cmd_train(cfg: FullConfig, out_dir, jobs: int = 1,
@@ -477,12 +489,13 @@ def cmd_train(cfg: FullConfig, out_dir, jobs: int = 1,
     seeds = [_fold_seed(cfg.trainer.seed, s.fold) for s in splits]
     if jobs > 1 and len(splits) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            trainers = list(pool.map(
+            results = list(pool.map(
                 lambda args: _train_one_fold(cfg, args[0], lib, text, args[1]),
                 zip(splits, seeds)))
     else:
-        trainers = [_train_one_fold(cfg, s, lib, text, seed)
-                    for s, seed in zip(splits, seeds)]
+        results = [_train_one_fold(cfg, s, lib, text, seed)
+                   for s, seed in zip(splits, seeds)]
+    trainers = [trainer for trainer, _ in results]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for trainer in trainers:
@@ -493,6 +506,10 @@ def cmd_train(cfg: FullConfig, out_dir, jobs: int = 1,
             if status.startswith("aborted"):
                 print(f"warning: fold {trainer.split.fold} {status}",
                       file=sys.stderr)
+    for trainer, error in results:
+        if error is not None:
+            # every fold's outputs are written; the session still failed
+            raise NonFiniteLoss(f"fold {trainer.split.fold}: {error}")
     return 0
 
 

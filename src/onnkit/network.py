@@ -54,14 +54,21 @@ class OpBlock:
     def forward(self, patches: Variable, spatial: tuple[int, int], tape: Tape,
                 constants: OperatorConstants) -> Variable:
         """Map the tier's patch matrix [C, M*N, m*n] to this block's [M, N]."""
-        c, m, n = self.in_channels, *self.kernel
-        w = ag.reshape(tape.watch(self.weights), (c, 1, m * n))
-        z = evaluate_nodal(self.opset.nodal, w, patches, constants)
-        pooled = evaluate_pool(self.opset.pool, z, constants)
-        combined = ag.reduce_sum(pooled, 0)
-        x = ag.reshape(combined, spatial)
-        b = tape.watch(self.bias)
-        return evaluate_activation(self.opset.activation, x, b, constants)
+        return block_forward(self.opset, tape.watch(self.weights),
+                             tape.watch(self.bias), patches, spatial, constants)
+
+
+def block_forward(opset: OperatorSet, weights: Variable, bias: Variable,
+                  patches: Variable, spatial: tuple[int, int],
+                  constants: OperatorConstants) -> Variable:
+    """One block's nodal, pool and activation stages: weights [C, m, n]
+    and a scalar bias over the patch matrix [C, M*N, m*n], giving [M, N]."""
+    c, m, n = weights.shape
+    w = ag.reshape(weights, (c, 1, m * n))
+    z = evaluate_nodal(opset.nodal, w, patches, constants)
+    pooled = evaluate_pool(opset.pool, z, constants)
+    x = ag.reshape(ag.reduce_sum(pooled, 0), spatial)
+    return evaluate_activation(opset.activation, x, bias, constants)
 
 
 class OpTier:
@@ -103,7 +110,7 @@ class OpTier:
 
     def forward(self, x: Variable, tape: Tape,
                 constants: OperatorConstants) -> Variable:
-        c, mm, nn = x.value.shape
+        c, mm, nn = x.shape
         if c != self.in_channels:
             raise ShapeMismatch(
                 f"tier {self.name!r} expects {self.in_channels} channels, got {c}"
@@ -191,7 +198,7 @@ def network_forward(net: OpNetwork, batch, tape: Tape | None = None):
 
     Samples are processed independently and stacked, so a batch gives
     bitwise the same outputs as running its samples one by one. Without a
-    tape the result is a plain tensor; with one it is a tracked variable
+    tape the result is a Tensor; with one it is a tracked variable
     recorded on that tape.
     """
     batch_t = batch if isinstance(batch, Tensor) else Tensor(batch)
@@ -204,11 +211,11 @@ def network_forward(net: OpNetwork, batch, tape: Tape | None = None):
     work_tape = tape if tape is not None else Tape()
     outs = []
     for i in range(batch_t.shape[0]):
-        sample = Variable(Tensor._wrap(batch_t.data[i]), None, None)
+        sample = Variable(batch_t.data[i], None, None)
         outs.append(net.forward_sample(sample, work_tape))
     stacked = ag.stack(outs, axis=0)
     if tape is None:
-        return stacked.value
+        return Tensor._wrap(stacked.value)
     return stacked
 
 
@@ -232,13 +239,8 @@ def check_operator_set_gradients(library: OperatorSetLibrary, index: int, *,
 
     def f(xv, wv, bv):
         patches = patchops.unfold(xv, plan)
-        w = ag.reshape(wv, (in_channels, 1, kernel * kernel))
-        z = evaluate_nodal(opset.nodal, w, patches, constants)
-        pooled = evaluate_pool(opset.pool, z, constants)
-        combined = ag.reduce_sum(pooled, 0)
-        x = ag.reshape(combined, (size, size))
-        out = evaluate_activation(opset.activation, x, bv, constants)
-        return ag.sum_all(out)
+        return ag.sum_all(block_forward(opset, wv, bv, patches, (size, size),
+                                        constants))
 
     report = None
     for _ in range(attempts):

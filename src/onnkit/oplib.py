@@ -30,7 +30,6 @@ import numpy as np
 from . import autograd as ag
 from .autograd import CustomBackward, Variable, apply_custom
 from .errors import DuplicateName, NonFiniteValue, ShapeContractViolation
-from .tensor import BroadcastSpec, Tensor
 
 
 @dataclass(frozen=True)
@@ -218,7 +217,7 @@ def register_builtin_library() -> OperatorSetLibrary:
 # --- evaluation entry points ---
 
 def _check_finite(var: Variable, what: str) -> Variable:
-    if not np.all(np.isfinite(var.value.data)):
+    if not np.all(np.isfinite(var.value)):
         raise NonFiniteValue(f"{what} produced a non-finite value")
     return var
 
@@ -226,7 +225,7 @@ def _check_finite(var: Variable, what: str) -> Variable:
 def evaluate_nodal(op: NodalOp, w, y,
                    constants: OperatorConstants = DEFAULT_CONSTANTS) -> Variable:
     w, y = ag.as_variable(w), ag.as_variable(y)
-    BroadcastSpec.align(w.shape, y.shape)
+    ag.broadcast_shape(w.shape, y.shape)
     return _check_finite(op.fn(w, y, constants), f"nodal operator {op.name!r}")
 
 
@@ -239,7 +238,7 @@ def evaluate_pool(op: PoolOp, z,
 def evaluate_activation(op: ActivationOp, x, b,
                         constants: OperatorConstants = DEFAULT_CONSTANTS) -> Variable:
     x, b = ag.as_variable(x), ag.as_variable(b)
-    BroadcastSpec.align(x.shape, b.shape)
+    ag.broadcast_shape(x.shape, b.shape)
     return _check_finite(op.fn(x, b, constants), f"activation {op.name!r}")
 
 
@@ -248,7 +247,7 @@ def evaluate_activation(op: ActivationOp, x, b,
 def _probe_pool(fn: Callable[[Variable, OperatorConstants], Variable]) -> None:
     """Reject pools that do not reduce exactly the trailing axis."""
     rng = np.random.default_rng(0)
-    probe = ag.as_variable(Tensor(rng.uniform(-1.0, 1.0, size=(2, 3, 4))))
+    probe = ag.as_variable(rng.uniform(-1.0, 1.0, size=(2, 3, 4)))
     try:
         out = fn(probe, DEFAULT_CONSTANTS)
     except Exception as e:

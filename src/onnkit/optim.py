@@ -7,7 +7,8 @@ in place. Updates are:
   adam   m <- b1*m + (1-b1)*g         v <- b2*v + (1-b2)*g^2
          p <- p - lr * m/(1-b1^t) / (sqrt(v/(1-b2^t)) + eps)
 
-State round-trips bitwise through serialize_state/deserialize_state.
+State round-trips bitwise through state_entries and restore_from_entries
+(the archive entries a trainer checkpoint stores).
 """
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from . import checkpoint
 from .autograd import Parameter
 from .errors import CorruptState, NonFiniteGradient, UnknownOptimizer
 from .tensor import Tensor
@@ -162,25 +162,6 @@ def make_optimizer(name: str, **hyper) -> Optimizer:
     raise UnknownOptimizer(
         f"unknown optimizer {name!r}; supported: {', '.join(SUPPORTED)}"
     )
-
-
-def sgd_step(params: Iterable[Parameter], grads: Mapping[str, Tensor],
-             state: SGD) -> None:
-    state.step(params, grads)
-
-
-def adam_step(params: Iterable[Parameter], grads: Mapping[str, Tensor],
-              state: Adam) -> None:
-    state.step(params, grads)
-
-
-def serialize_state(opt: Optimizer) -> bytes:
-    return checkpoint.encode(opt.state_entries())
-
-
-def deserialize_state(blob: bytes) -> Optimizer:
-    entries = checkpoint.decode(blob)
-    return restore_from_entries(entries)
 
 
 def restore_from_entries(entries: Mapping[str, object]) -> Optimizer:

@@ -2,9 +2,13 @@
 
 unfold turns a [C, M, N] image into a [C, M*N, m*n] patch matrix: one row
 per output pixel holding that pixel's zero-padded m-by-n neighbourhood in
-row-major order ("same" padding, stride 1, odd kernel extents). fold is its
-exact adjoint: it scatter-adds patch entries back onto the image grid, so
-<unfold(y), G> equals <y, fold(G)> for all operands.
+row-major order ("same" padding, stride 1, odd kernel extents). fold_array
+is its exact adjoint and unfold's backward: it scatter-adds patch entries
+back onto the image grid, so <unfold(y), G> equals <y, fold_array(G)> for
+all operands.
+
+unfold and resample take a tracked variable or any constant value and
+return a Variable; for a constant it is untracked.
 
 Both directions are driven by one precomputed index plan, which keeps them
 consistent and makes the adjoint pairing a structural fact rather than a
@@ -15,7 +19,6 @@ by nearest-neighbour replication (factor -k), applied per channel.
 """
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -23,7 +26,6 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Variable, record
 from .errors import IndivisibleExtent, ShapeMismatch, ZeroFactor
-from .tensor import Tensor
 
 Array = np.ndarray
 
@@ -77,7 +79,9 @@ def unfold_array(y: Array, plan: UnfoldPlan) -> Array:
         )
     flat = y.reshape(y.shape[0], -1)
     out = flat[:, plan.safe_index]
-    return np.where(plan.valid[None, :, :], out, 0.0)
+    # the gather comes out channel-innermost; C order keeps the later
+    # reductions' summation order, and with it every output bit, fixed
+    return np.ascontiguousarray(np.where(plan.valid[None, :, :], out, 0.0))
 
 
 def fold_array(patches: Array, plan: UnfoldPlan) -> Array:
@@ -97,30 +101,14 @@ def fold_array(patches: Array, plan: UnfoldPlan) -> Array:
     return out.reshape(channels, plan.height, plan.width)
 
 
-def unfold(y, plan: UnfoldPlan):
-    """Patch extraction; differentiable when given a tracked variable."""
-    if isinstance(y, Variable):
-        out = unfold_array(y.value.data, plan)
+def unfold(y, plan: UnfoldPlan) -> Variable:
+    """Patch extraction; its backward is fold_array."""
+    y = ag.as_variable(y)
 
-        def grad_fn(g: Array):
-            return (fold_array(g, plan),)
+    def grad_fn(g: Array):
+        return (fold_array(g, plan),)
 
-        return record((y,), Tensor._wrap(out), grad_fn)
-    y_t = y if isinstance(y, Tensor) else Tensor(y)
-    return Tensor._wrap(unfold_array(y_t.data, plan))
-
-
-def fold(patches, plan: UnfoldPlan):
-    """Adjoint of unfold; differentiable when given a tracked variable."""
-    if isinstance(patches, Variable):
-        out = fold_array(patches.value.data, plan)
-
-        def grad_fn(g: Array):
-            return (unfold_array(g, plan),)
-
-        return record((patches,), Tensor._wrap(out), grad_fn)
-    p_t = patches if isinstance(patches, Tensor) else Tensor(patches)
-    return Tensor._wrap(fold_array(p_t.data, plan))
+    return record((y,), unfold_array(y.value, plan), grad_fn)
 
 
 def _check_factor(factor: int) -> int:
@@ -142,33 +130,18 @@ def _down_views(x: Array, k: int) -> Array:
     return cells.reshape(c, mm // k, nn // k, k * k)
 
 
-def resample_array(x: Array, factor: int) -> Array:
-    """Raw resampling on a [C, M, N] array. factor 1 is identity,
-    k > 1 max-pools k-by-k cells, -k replicates each pixel k-by-k."""
-    factor = _check_factor(factor)
-    if x.ndim != 3:
-        raise ShapeMismatch(f"expected a [C, M, N] array, got shape {x.shape}")
-    if factor == 1:
-        return x
-    if factor > 1:
-        return _down_views(x, factor).max(axis=-1)
-    k = -factor
-    return np.repeat(np.repeat(x, k, axis=1), k, axis=2)
-
-
-def resample(x, factor: int):
-    """Spatial resampling; differentiable when given a tracked variable.
+def resample(x, factor: int) -> Variable:
+    """Spatial resampling of a [C, M, N] value. factor 1 is identity,
+    k > 1 max-pools k-by-k cells, -k replicates each pixel k-by-k.
 
     Downsampling routes gradient to each cell's winning element (ties to
     the lowest row-major index); upsampling sums gradient over each
     replicated block.
     """
     factor = _check_factor(factor)
-    if not isinstance(x, Variable):
-        x_t = x if isinstance(x, Tensor) else Tensor(x)
-        return Tensor._wrap(np.ascontiguousarray(resample_array(x_t.data, factor)))
+    x = ag.as_variable(x)
     if x.value.ndim != 3:
-        raise ShapeMismatch(f"expected a [C, M, N] variable, got shape {x.shape}")
+        raise ShapeMismatch(f"expected a [C, M, N] value, got shape {x.shape}")
     if factor == 1:
         return x
     if factor > 1:
@@ -177,7 +150,7 @@ def resample(x, factor: int):
 
 
 def _downsample_variable(x: Variable, k: int) -> Variable:
-    xd = x.value.data
+    xd = x.value
     cells = _down_views(xd, k)
     arg = np.argmax(cells, axis=-1)
     values = np.take_along_axis(cells, arg[..., None], axis=-1)[..., 0]
@@ -190,12 +163,12 @@ def _downsample_variable(x: Variable, k: int) -> Variable:
         spread = spread.transpose(0, 1, 3, 2, 4)
         return (np.ascontiguousarray(spread.reshape(c, mm, nn)),)
 
-    return record((x,), Tensor._wrap(values), grad_fn, selection=arg,
+    return record((x,), values, grad_fn, selection=arg,
                   tie_margin=lambda: ag._selection_margin(cells, arg, cells.ndim - 1))
 
 
 def _upsample_variable(x: Variable, k: int) -> Variable:
-    xd = x.value.data
+    xd = x.value
     out = np.repeat(np.repeat(xd, k, axis=1), k, axis=2)
     c, mm, nn = xd.shape
 
@@ -203,4 +176,4 @@ def _upsample_variable(x: Variable, k: int) -> Variable:
         blocks = g.reshape(c, mm, k, nn, k)
         return (blocks.sum(axis=(2, 4)),)
 
-    return record((x,), Tensor._wrap(out), grad_fn)
+    return record((x,), out, grad_fn)

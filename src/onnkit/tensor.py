@@ -1,13 +1,14 @@
-"""Dense float64 tensors: broadcasting, reductions, reshape.
+"""The package's boundary value type, and the raw reductions.
 
-A Tensor is an immutable, C-contiguous array of 64-bit floats. It is the
-value type everything else in the package is built on. Operations are
-deterministic: the same operands always produce bitwise identical results.
+A Tensor is an immutable, C-contiguous array of 64-bit floats. It is what
+the package hands out and takes in: dataset pairs, parameter values, the
+untaped network output and the gradients backward returns. Inside the
+autodiff engine values are plain read-only ndarrays; Tensor(...) is how an
+outside value enters it (a float64, C-contiguous, read-only copy).
+Reductions are deterministic: the same operands always produce bitwise
+identical results.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -16,37 +17,6 @@ from .errors import EmptyAxis, ShapeMismatch, SizeMismatch
 Shape = tuple[int, ...]
 
 REDUCE_KINDS = ("sum", "max", "median")
-
-
-@dataclass(frozen=True)
-class BroadcastSpec:
-    """Alignment of two shapes under trailing-dimension broadcasting.
-
-    Shapes are right-aligned; missing leading dimensions count as extent 1.
-    A pair of extents is compatible when they are equal or one of them is 1.
-    """
-
-    left: Shape
-    right: Shape
-    result: Shape
-
-    @classmethod
-    def align(cls, left: Shape, right: Shape) -> "BroadcastSpec":
-        rank = max(len(left), len(right))
-        lpad = (1,) * (rank - len(left)) + tuple(left)
-        rpad = (1,) * (rank - len(right)) + tuple(right)
-        result = []
-        for le, re in zip(lpad, rpad):
-            if le == re or re == 1:
-                result.append(le)
-            elif le == 1:
-                result.append(re)
-            else:
-                raise ShapeMismatch(
-                    f"cannot broadcast {tuple(left)} with {tuple(right)}: "
-                    f"extents {le} and {re} are incompatible"
-                )
-        return cls(tuple(left), tuple(right), tuple(result))
 
 
 class Tensor:
@@ -110,56 +80,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor({self._data.tolist()!r})"
 
-    # Convenience arithmetic. These go through broadcast_binary so the
-    # shape rules are identical to the functional API.
-    def __add__(self, other):
-        return broadcast_binary(np.add, self, _coerce(other))
-
-    def __radd__(self, other):
-        return broadcast_binary(np.add, _coerce(other), self)
-
-    def __sub__(self, other):
-        return broadcast_binary(np.subtract, self, _coerce(other))
-
-    def __rsub__(self, other):
-        return broadcast_binary(np.subtract, _coerce(other), self)
-
-    def __mul__(self, other):
-        return broadcast_binary(np.multiply, self, _coerce(other))
-
-    def __rmul__(self, other):
-        return broadcast_binary(np.multiply, _coerce(other), self)
-
-    def __truediv__(self, other):
-        return broadcast_binary(np.divide, self, _coerce(other))
-
-    def __neg__(self):
-        return Tensor._wrap(-self._data)
-
-
-def _coerce(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
-
-
-def zeros(shape: Sequence[int]) -> Tensor:
-    return Tensor._wrap(np.zeros(tuple(shape), dtype=np.float64))
-
-
-def full(shape: Sequence[int], value: float) -> Tensor:
-    return Tensor._wrap(np.full(tuple(shape), value, dtype=np.float64))
-
-
-def broadcast_binary(op: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                     a: Tensor, b: Tensor) -> Tensor:
-    """Apply an elementwise binary op under trailing-dimension broadcasting."""
-    spec = BroadcastSpec.align(a.shape, b.shape)
-    out = op(a.data, b.data)
-    if tuple(out.shape) != spec.result:
-        raise ShapeMismatch(
-            f"operation produced shape {tuple(out.shape)}, expected {spec.result}"
-        )
-    return Tensor._wrap(out)
-
 
 def _normalize_axis(axis: int, ndim: int) -> int:
     if not -ndim <= axis < ndim:
@@ -218,26 +138,3 @@ def _reduce_raw(kind: str, arr: np.ndarray, axis: int):
     arg = np.argmax(arr, axis=axis)
     values = np.take_along_axis(arr, np.expand_dims(arg, axis), axis=axis)
     return np.squeeze(values, axis=axis), arg
-
-
-def reduce(kind: str, a: Tensor, axis: int) -> tuple[Tensor, Tensor | None]:
-    """Reduce one axis. Returns (values, winner-indices) for max/median,
-    (values, None) for sum. Winner indices are returned as a float tensor;
-    the stored values are exact integers."""
-    values, arg = _reduce_raw(kind, a.data, axis)
-    arg_t = None if arg is None else Tensor._wrap(arg.astype(np.float64))
-    return Tensor._wrap(values), arg_t
-
-
-def reshape(a: Tensor, new_shape: Sequence[int]) -> Tensor:
-    new_shape = tuple(int(s) for s in new_shape)
-    new_size = 1
-    for s in new_shape:
-        if s < 0:
-            raise ShapeMismatch(f"negative extent in shape {new_shape}")
-        new_size *= s
-    if new_size != a.size:
-        raise SizeMismatch(
-            f"cannot reshape {a.shape} ({a.size} elements) to {new_shape} ({new_size} elements)"
-        )
-    return Tensor._wrap(np.reshape(a.data, new_shape))

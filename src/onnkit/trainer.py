@@ -250,7 +250,7 @@ class Trainer:
             pred = network_forward(self.net, x, tape)
             diff = ag.sub(pred, ag.as_variable(t))
             loss = ag.mul(ag.sum_all(ag.pow_const(diff, 2)), 1.0 / t.size)
-            last_loss = float(loss.value.data.reshape(()))
+            last_loss = float(loss.value)
             if not math.isfinite(last_loss):
                 raise NonFiniteLoss(
                     f"loss became {last_loss} in run {self._run} "

@@ -4,6 +4,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from onnkit.checkpoint import FORMAT_VERSION, MAGIC, decode, encode, load, save
 from onnkit.errors import CorruptState, IoError, VersionMismatch
@@ -87,6 +90,57 @@ def test_truncated_archive_is_rejected():
     for cut in (10, len(blob) // 2, len(blob) - 1):
         with pytest.raises(CorruptState):
             decode(blob[:cut])
+
+
+@pytest.mark.parametrize("cut", [200, 2000])
+def test_truncated_payload_is_reported_as_truncation(cut):
+    blob = encode({"a/raw": bytes(4000)})
+    with pytest.raises(CorruptState, match=r"'a/raw' truncated: payload needs "
+                                           rf"4000 bytes, {cut - 40} left"):
+        decode(blob[:cut])
+
+
+def test_empty_entry_with_huge_extent_is_implausible():
+    # zero items, so nothing is truncated; the extent guard still holds
+    blob = (MAGIC + struct.pack("<II", 1, 1)
+            + struct.pack("<H", 1) + b"a"
+            + struct.pack("<B", 0) + struct.pack("<QQQ", 2, 0, 1 << 40))
+    with pytest.raises(CorruptState, match="implausible extent"):
+        decode(blob)
+
+
+def _entry_values():
+    f64 = hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3,
+                                                   min_side=0, max_side=4))
+    u64 = hnp.arrays(np.uint64, hnp.array_shapes(min_dims=1, max_dims=2,
+                                                  min_side=0, max_side=4))
+    return st.one_of(f64, u64, st.binary(max_size=300))
+
+
+archives = st.dictionaries(st.text("abc/", min_size=1, max_size=6),
+                           _entry_values(), max_size=4).map(encode)
+
+
+@settings(max_examples=60, deadline=None)
+@given(archives)
+@example(encode({"a/raw": bytes(300), "b": np.zeros((2, 3))}))
+def test_every_proper_prefix_is_reported_truncated(blob):
+    for cut in range(len(blob)):
+        with pytest.raises(CorruptState, match="truncated"):
+            decode(blob[:cut])
+
+
+@settings(max_examples=300, deadline=None)
+@given(archives, st.data())
+def test_a_flipped_byte_decodes_or_raises_a_named_error(blob, data):
+    pos = data.draw(st.integers(0, len(blob) - 1))
+    flip = data.draw(st.integers(1, 255))
+    bad = bytearray(blob)
+    bad[pos] ^= flip
+    try:
+        decode(bytes(bad))
+    except (CorruptState, VersionMismatch):
+        pass
 
 
 def test_trailing_garbage_is_rejected():

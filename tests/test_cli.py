@@ -4,17 +4,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import onnkit.checkpoint as ckpt_mod
 from onnkit.cli import (
+    DataConfig,
+    FullConfig,
+    NetworkConfig,
     cmd_eval,
     cmd_gradcheck,
     format_config,
     main,
     parse_config,
 )
-from onnkit.errors import ParseError, ValidationError
+from onnkit.errors import NonFiniteLoss, ParseError, ValidationError
 from onnkit.oplib import add_custom_operator, register_builtin_library
+from onnkit.trainer import Trainer, TrainerConfig
 
 BASE = """\
 [network]
@@ -111,6 +117,79 @@ def test_line_numbers_survive_comments_and_blanks():
     text = "# header\n\n[network]\n; note\ntier_sizes = 0\n"
     with pytest.raises(ValidationError, match="network: line 5: tier_sizes"):
         parse_config(text)
+
+
+@pytest.mark.parametrize("old,new", [
+    ("tier_sizes = 1", "tier_sizes = 1  # one block"),
+    ("[trainer]", "[trainer]\nmodel_name = m  ; note"),
+    ("task = identity", "task = identity\t# tab-separated"),
+])
+def test_inline_comments_are_rejected_naming_their_line(old, new):
+    text = BASE.replace(old, new)
+    lineno = text.splitlines().index(new.splitlines()[-1]) + 1
+    with pytest.raises(ParseError, match=rf"config: line {lineno}: inline "
+                                         r"comment .*own line"):
+        parse_config(text)
+
+
+def test_whole_line_comments_and_bare_marks_still_parse():
+    text = ("# header\n; another\n" + BASE).replace(
+        "[trainer]", "[trainer]\n  # indented comment\nmodel_name = run#1;b")
+    cfg = parse_config(text)
+    assert cfg.network.tier_sizes == [1]
+    assert cfg.trainer.model_name == "run#1;b"
+
+
+_names = st.text("abcxyz_-.0189", max_size=8)
+_floats = st.floats(allow_nan=False, width=64)
+
+
+@st.composite
+def full_configs(draw):
+    lib_size = len(register_builtin_library())
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    operators = [draw(st.lists(st.integers(0, lib_size - 1), min_size=n,
+                               max_size=n) | st.lists(
+        st.integers(0, lib_size - 1), min_size=1, max_size=1))
+        for n in sizes]
+    channels = draw(st.integers(1, 4))
+    network = NetworkConfig(
+        in_channels=channels, tier_sizes=sizes,
+        kernel_sizes=[draw(st.integers(0, 5)) * 2 + 1 for _ in sizes],
+        operators=operators,
+        sampling_factors=[draw(st.integers(-4, 4).filter(bool)) for _ in sizes],
+        k_sin=draw(_floats), k_chirp=draw(_floats),
+        cut=draw(_floats.filter(bool)),
+        init=draw(st.sampled_from(["uniform", "fan_in"])),
+        init_bound=draw(_floats))
+    trainer = TrainerConfig(
+        num_epochs=draw(st.integers(1, 10**6)),
+        num_runs=draw(st.integers(1, 99)),
+        optimizer=draw(_names), lr=draw(_floats.filter(lambda v: v > 0)),
+        momentum=draw(_floats), beta1=draw(_floats), beta2=draw(_floats),
+        eps=draw(_floats), lr_decay=draw(_floats),
+        batch_size=draw(st.integers(1, 512)),
+        seed=draw(st.integers(-2**63, 2**64)), model_name=draw(_names))
+    task = draw(st.sampled_from(["identity", "blur-inverse", "nonlinear-map",
+                                 "folder"]))
+    path = draw(_names.filter(bool) if task == "folder"
+                else st.none() | _names)
+    data = DataConfig(
+        task=task, path=path, count=draw(st.integers(1, 10**6)),
+        size=draw(st.integers(1, 4096)), channels=channels,
+        folds=draw(st.integers(1, 20)),
+        val_fraction=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        seed=draw(st.integers(-2**63, 2**64)))
+    metrics = draw(st.lists(st.tuples(st.just("snr"),
+                                      st.sampled_from(["max", "min"])),
+                            max_size=2))
+    return FullConfig(network, trainer, data, metrics)
+
+
+@settings(max_examples=200, deadline=None)
+@given(full_configs())
+def test_parse_inverts_format_on_every_valid_config(cfg):
+    assert parse_config(format_config(cfg)) == cfg
 
 
 DESCRIBE = """\
@@ -264,6 +343,35 @@ def test_diverged_runs_are_recorded_and_the_session_goes_on(tmp_path, capsys):
                    "a non-finite value"] * 2
     status = ckpt_mod.load(out / "fold1.ckpt")["trainer/status"].decode()
     assert status.count("aborted") == 2 and "done" in status
+
+
+def test_a_fold_whose_every_run_diverges_does_not_sink_the_others(
+        tmp_path, capsys, monkeypatch):
+    # every run of fold 1 aborts: the session still writes both archives
+    # and the CSVs, warns per run, then ends with one runtime error line
+    original = Trainer._train_epoch
+
+    def diverging_in_fold_1(self):
+        if self.split.fold == 1:
+            raise NonFiniteLoss("injected failure")
+        return original(self)
+
+    monkeypatch.setattr(Trainer, "_train_epoch", diverging_in_fold_1)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(write_config(tmp_path)),
+                 "--out", str(out)]) == 2
+    for fold in (0, 1):
+        assert (out / f"fold{fold}.ckpt").exists()
+        assert (out / f"train_fold{fold}.csv").exists()
+    assert (out / "summary.csv").exists()
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["warning: fold 1 aborted: injected failure",
+                   "error: runtime: fold 1: every run diverged; first failure: "
+                   "aborted: injected failure"]
+    monkeypatch.undo()
+    assert main(["eval", "--ckpt", str(out / "fold0.ckpt")]) == 0
+    got = capsys.readouterr().out.splitlines()
+    assert got and all(line.endswith(", match") for line in got)
 
 
 def test_gradcheck_passes_for_configured_sets(tmp_path, capsys):

@@ -33,19 +33,19 @@ def nodal_value(lib, name, w, y, constants=None):
     op = next(o for o in lib.nodal if o.name == name)
     out = evaluate_nodal(op, Tensor(w), Tensor(y),
                          constants or OperatorConstants())
-    return out.value.data
+    return out.value
 
 
 def pool_value(lib, name, z):
     op = next(o for o in lib.pool if o.name == name)
-    return evaluate_pool(op, Tensor(z)).value.data
+    return evaluate_pool(op, Tensor(z)).value
 
 
 def act_value(lib, name, x, b=0.0, constants=None):
     op = next(o for o in lib.activation if o.name == name)
     out = evaluate_activation(op, Tensor(x), Tensor(b),
                               constants or OperatorConstants())
-    return out.value.data
+    return out.value
 
 
 def test_nodal_formulas(lib):

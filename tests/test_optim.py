@@ -2,9 +2,10 @@
 import numpy as np
 import pytest
 
+from onnkit import checkpoint
 from onnkit.autograd import Parameter
 from onnkit.errors import CorruptState, NonFiniteGradient, UnknownOptimizer
-from onnkit.optim import SGD, Adam, deserialize_state, make_optimizer, serialize_state
+from onnkit.optim import SGD, Adam, make_optimizer, restore_from_entries
 from onnkit.tensor import Tensor
 
 
@@ -115,15 +116,16 @@ def test_state_round_trip_is_bitwise(name, hyper):
     for g in grads[:3]:
         oa.step([pa], {"p": g})
 
-    blob = serialize_state(oa)
-    ob = deserialize_state(blob)
+    # the trainer's own path: archive entries out, decoded entries back in
+    blob = checkpoint.encode(oa.state_entries())
+    ob = restore_from_entries(checkpoint.decode(blob))
     pb = make_param(pa.value)
 
     for g in grads[3:]:
         oa.step([pa], {"p": g})
         ob.step([pb], {"p": g})
     assert np.array_equal(pa.value.data, pb.value.data)
-    assert serialize_state(oa) == serialize_state(ob)
+    assert checkpoint.encode(oa.state_entries()) == checkpoint.encode(ob.state_entries())
 
 
 def test_restore_rejects_incomplete_state():

@@ -1,4 +1,4 @@
-"""Patch extraction, folding (adjointness) and resampling."""
+"""Patch extraction, fold_array (adjointness) and resampling."""
 import numpy as np
 import pytest
 
@@ -6,7 +6,6 @@ import onnkit.autograd as ag
 from onnkit.autograd import Tape, backward, gradcheck
 from onnkit.errors import IndivisibleExtent, ShapeMismatch, ZeroFactor
 from onnkit.patchops import (
-    fold,
     fold_array,
     get_plan,
     resample,
@@ -21,17 +20,17 @@ from oracles import unfold_loop
 def test_unfold_center_row_of_identity_image():
     eye = Tensor(np.eye(3)[None, :, :])
     plan = get_plan(3, 3, 3, 3)
-    patches = unfold(eye, plan)
+    patches = unfold(eye, plan).value
     assert patches.shape == (1, 9, 9)
     # the center pixel's patch covers the whole image in row-major order
-    assert patches.data[0, 4].tolist() == [1, 0, 0, 0, 1, 0, 0, 0, 1]
+    assert patches[0, 4].tolist() == [1, 0, 0, 0, 1, 0, 0, 0, 1]
 
 
 def test_unfold_corner_rows_read_zero_padding():
     eye = Tensor(np.eye(3)[None, :, :])
-    patches = unfold(eye, get_plan(3, 3, 3, 3))
-    assert patches.data[0, 0].tolist() == [0, 0, 0, 0, 1, 0, 0, 0, 1]
-    assert patches.data[0, 8].tolist() == [1, 0, 0, 0, 1, 0, 0, 0, 0]
+    patches = unfold(eye, get_plan(3, 3, 3, 3)).value
+    assert patches[0, 0].tolist() == [0, 0, 0, 0, 1, 0, 0, 0, 1]
+    assert patches[0, 8].tolist() == [1, 0, 0, 0, 1, 0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("shape,kernel", [
@@ -46,13 +45,14 @@ def test_unfold_matches_loop_oracle(shape, kernel):
     rng = np.random.default_rng(shape[1] * 10 + kernel[0])
     y = rng.normal(size=shape)
     got = unfold(Tensor(y), get_plan(shape[1], shape[2], *kernel))
-    assert np.array_equal(got.data, unfold_loop(y, *kernel))
+    assert got.tape is None  # a constant in, an untracked variable out
+    assert np.array_equal(got.value, unfold_loop(y, *kernel))
+    assert got.value.flags.c_contiguous
 
 
 def test_fold_of_ones_counts_patch_membership():
-    ones = Tensor(np.ones((1, 9, 9)))
-    out = fold(ones, get_plan(3, 3, 3, 3))
-    assert out.data[0].tolist() == [
+    out = fold_array(np.ones((1, 9, 9)), get_plan(3, 3, 3, 3))
+    assert out[0].tolist() == [
         [4.0, 6.0, 4.0],
         [6.0, 9.0, 6.0],
         [4.0, 6.0, 4.0],
@@ -89,19 +89,19 @@ def test_downsample_takes_cell_maxima():
     x = Tensor([[[1.0, 2.0], [3.0, 4.0]]])
     out = resample(x, 2)
     assert out.shape == (1, 1, 1)
-    assert out.data[0, 0, 0] == 4.0
+    assert out.value[0, 0, 0] == 4.0
 
 
 def test_upsample_replicates_pixels():
     x = Tensor([[[5.0]]])
     out = resample(x, -2)
-    assert out.data[0].tolist() == [[5.0, 5.0], [5.0, 5.0]]
+    assert out.value[0].tolist() == [[5.0, 5.0], [5.0, 5.0]]
 
 
 def test_resample_identity_factor():
     x = Tensor(np.arange(8.0).reshape(2, 2, 2))
     out = resample(x, 1)
-    assert np.array_equal(out.data, x.data)
+    assert np.array_equal(out.value, x.data)
 
 
 def test_resample_rejects_indivisible_extent():
@@ -156,18 +156,6 @@ def test_unfold_gradient_is_fold_and_passes_fd():
     yv = tape.leaf(y)
     grads = backward(f(yv))
     assert np.allclose(grads[yv.node].data, fold_array(weights, plan))
-
-
-def test_fold_gradient_is_unfold():
-    rng = np.random.default_rng(10)
-    patches = Tensor(rng.normal(size=(1, 9, 9)))
-    cof = rng.normal(size=(1, 3, 3))
-    plan = get_plan(3, 3, 3, 3)
-    tape = Tape()
-    pv = tape.leaf(patches)
-    root = ag.sum_all(ag.mul(fold(pv, plan), Tensor(cof)))
-    grads = backward(root)
-    assert np.allclose(grads[pv.node].data, unfold_array(cof, plan))
 
 
 def test_downsample_gradcheck_clear_of_ties():

@@ -1,19 +1,15 @@
-"""Tensor layer: broadcasting, reductions, reshape, immutability."""
+"""Values: the boundary Tensor, raw reductions, and the engine's
+broadcasting, reshape and read-only outputs."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import onnkit.autograd as ag
 from onnkit.errors import EmptyAxis, ShapeMismatch, SizeMismatch
-from onnkit.tensor import (
-    BroadcastSpec,
-    Tensor,
-    _reduce_raw,
-    broadcast_binary,
-    reduce,
-    reshape,
-)
+from onnkit.oplib import add_custom_operator, evaluate_nodal, register_builtin_library
+from onnkit.tensor import Tensor, _reduce_raw
 
 from oracles import median_pick, tile_broadcast
 
@@ -21,26 +17,46 @@ from oracles import median_pick, tile_broadcast
 def test_outer_product_broadcast():
     a = Tensor([[2.0], [3.0]])
     b = Tensor([[1.0, 2.0, 3.0]])
-    out = broadcast_binary(np.multiply, a, b)
+    out = ag.mul(a, b)
     assert out.shape == (2, 3)
-    assert out.tolist() == [[2.0, 4.0, 6.0], [3.0, 6.0, 9.0]]
+    assert out.value.tolist() == [[2.0, 4.0, 6.0], [3.0, 6.0, 9.0]]
 
 
 def test_broadcast_spec_alignment():
-    spec = BroadcastSpec.align((2, 3, 1, 4, 5), (3, 1, 1))
-    assert spec.result == (2, 3, 3, 4, 5)
-    assert BroadcastSpec.align((5,), (2, 1, 5)).result == (2, 1, 5)
-    assert BroadcastSpec.align((), (4, 2)).result == (4, 2)
-    assert BroadcastSpec.align((1,), (1,)).result == (1,)
+    def result(left, right):
+        return ag.add(np.zeros(left), np.zeros(right)).shape
+
+    assert result((2, 3, 1, 4, 5), (3, 1, 1)) == (2, 3, 3, 4, 5)
+    assert result((5,), (2, 1, 5)) == (2, 1, 5)
+    assert result((), (4, 2)) == (4, 2)
+    assert result((1,), (1,)) == (1,)
 
 
 def test_broadcast_spec_rejects_incompatible():
     with pytest.raises(ShapeMismatch):
-        BroadcastSpec.align((3,), (4,))
+        ag.add(np.zeros(3), np.zeros(4))
     with pytest.raises(ShapeMismatch):
-        BroadcastSpec.align((2, 3, 1, 4, 5), (3, 2, 1))
+        ag.mul(np.zeros((2, 3, 1, 4, 5)), np.zeros((3, 2, 1)))
     with pytest.raises(ShapeMismatch):
-        broadcast_binary(np.add, Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
+        ag.sub(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
+
+
+def test_custom_backward_operator_still_gets_the_broadcast_check():
+    # a hand-written forward would broadcast (or fail) on its own terms;
+    # the nodal stage rejects incompatible operands before calling it
+    lib = register_builtin_library()
+    calls = []
+
+    def forward(w, y):
+        calls.append(1)
+        return w * y
+
+    add_custom_operator(lib, "nodal", "raw_mul", forward,
+                        lambda g, w, y, out: (g * y, g * w))
+    op = next(o for o in lib.nodal if o.name == "raw_mul")
+    with pytest.raises(ShapeMismatch):
+        evaluate_nodal(op, np.zeros((2, 3)), np.zeros((4,)))
+    assert calls == []
 
 
 BROADCAST_SHAPE_PAIRS = [
@@ -60,34 +76,35 @@ def test_broadcast_matches_explicit_tiling(op, shapes):
     a = rng.uniform(-2, 2, shapes[0])
     b = rng.uniform(-2, 2, shapes[1])
     expected = tile_broadcast(op, a, b)
-    got = broadcast_binary(op, Tensor(a), Tensor(b))
+    engine = {np.add: ag.add, np.multiply: ag.mul, np.subtract: ag.sub}[op]
+    got = engine(Tensor(a), Tensor(b))
     assert got.shape == expected.shape
-    assert np.array_equal(got.data, expected)
+    assert np.array_equal(got.value, expected)
 
 
 def test_reduce_sum_rows():
-    values, arg = reduce("sum", Tensor([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), 1)
+    values, arg = _reduce_raw("sum", np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), 1)
     assert values.tolist() == [6.0, 15.0]
     assert arg is None
 
 
 def test_reduce_median_picks_stored_element():
-    values, arg = reduce("median", Tensor([[7.0, 1.0, 4.0]]), 1)
+    values, arg = _reduce_raw("median", np.array([[7.0, 1.0, 4.0]]), 1)
     assert values.tolist() == [4.0]
-    assert arg.tolist() == [2.0]
+    assert arg.tolist() == [2]
 
 
 def test_reduce_median_even_extent():
     # sorted position floor(4/2) = 2 of [9, 2, 5, 7] -> value 7 at index 3
-    values, arg = reduce("median", Tensor([9.0, 2.0, 5.0, 7.0]), 0)
+    values, arg = _reduce_raw("median", np.array([9.0, 2.0, 5.0, 7.0]), 0)
     assert values.item() == 7.0
-    assert arg.item() == 3.0
+    assert arg.item() == 3
 
 
 def test_reduce_median_stable_on_ties():
-    values, arg = reduce("median", Tensor([2.0, 2.0, 2.0]), 0)
+    values, arg = _reduce_raw("median", np.array([2.0, 2.0, 2.0]), 0)
     assert values.item() == 2.0
-    assert arg.item() == 1.0  # sorted position 1 keeps original order
+    assert arg.item() == 1  # sorted position 1 keeps original order
 
 
 # value pools for the median property: few distinct values give heavy
@@ -141,44 +158,45 @@ def test_median_of_1d_input_is_0d():
 
 
 def test_reduce_max_tie_takes_lowest_index():
-    values, arg = reduce("max", Tensor([[5.0, 5.0, 3.0]]), 1)
+    values, arg = _reduce_raw("max", np.array([[5.0, 5.0, 3.0]]), 1)
     assert values.tolist() == [5.0]
-    assert arg.tolist() == [0.0]
+    assert arg.tolist() == [0]
 
 
 def test_reduce_rejects_empty_axis():
     with pytest.raises(EmptyAxis):
-        reduce("sum", Tensor(np.zeros((2, 0))), 1)
+        ag.reduce_sum(np.zeros((2, 0)), 1)
     with pytest.raises(EmptyAxis):
-        reduce("max", Tensor(np.zeros((0,))), 0)
+        ag.reduce_max(np.zeros((0,)), 0)
 
 
 def test_reduce_rejects_bad_axis():
     with pytest.raises(ShapeMismatch):
-        reduce("sum", Tensor([[1.0]]), 2)
+        ag.reduce_sum(Tensor([[1.0]]), 2)
 
 
 def test_median_always_an_actual_element():
     rng = np.random.default_rng(11)
     for _ in range(25):
         arr = rng.normal(size=(3, 7))
-        values, arg = reduce("median", Tensor(arr), 1)
+        values, arg = _reduce_raw("median", arr, 1)
         for row in range(3):
-            idx = int(arg.data[row])
-            assert values.data[row] == arr[row, idx]
+            assert values[row] == arr[row, arg[row]]
 
 
 def test_reshape_round_trip():
     t = Tensor(np.arange(12.0).reshape(3, 4))
-    r = reshape(t, (2, 6))
+    r = ag.reshape(t, (2, 6))
     assert r.shape == (2, 6)
-    back = reshape(r, (3, 4))
-    assert np.array_equal(back.data, t.data)
+    back = ag.reshape(r, (3, 4))
+    assert np.array_equal(back.value, t.data)
 
 
 def test_reshape_rejects_wrong_size():
     with pytest.raises(SizeMismatch):
-        reshape(Tensor([[1.0, 2.0]]), (3,))
+        ag.reshape(Tensor([[1.0, 2.0]]), (3,))
+    with pytest.raises(ShapeMismatch):
+        ag.reshape(np.zeros(12), (-1, -12))
 
 
 def test_tensor_is_immutable_and_isolated():
@@ -199,17 +217,32 @@ def test_tensor_is_contiguous_float64():
 def test_operations_are_bitwise_deterministic():
     rng = np.random.default_rng(3)
     a, b = rng.normal(size=(4, 5)), rng.normal(size=(5,))
-    first = broadcast_binary(np.add, Tensor(a), Tensor(b))
-    second = broadcast_binary(np.add, Tensor(a), Tensor(b))
-    assert np.array_equal(first.data, second.data)
-    v1, _ = reduce("sum", Tensor(a), 0)
-    v2, _ = reduce("sum", Tensor(a), 0)
-    assert np.array_equal(v1.data, v2.data)
+    first = ag.add(Tensor(a), Tensor(b))
+    second = ag.add(Tensor(a), Tensor(b))
+    assert first.value.tobytes() == second.value.tobytes()
+    v1, _ = _reduce_raw("sum", a, 0)
+    v2, _ = _reduce_raw("sum", a, 0)
+    assert v1.tobytes() == v2.tobytes()
 
 
 def test_arithmetic_dunders():
-    a = Tensor([1.0, 2.0])
-    assert (a + 1.0).tolist() == [2.0, 3.0]
-    assert (a * Tensor([2.0, 3.0])).tolist() == [2.0, 6.0]
-    assert (a - 1.0).tolist() == [0.0, 1.0]
-    assert (-a).tolist() == [-1.0, -2.0]
+    a = ag.as_variable(Tensor([1.0, 2.0]))
+    assert (a + 1.0).value.tolist() == [2.0, 3.0]
+    assert (1.0 - a).value.tolist() == [0.0, -1.0]
+    assert (a * Tensor([2.0, 3.0])).value.tolist() == [2.0, 6.0]
+    assert (a - 1.0).value.tolist() == [0.0, 1.0]
+    assert (-a).value.tolist() == [-1.0, -2.0]
+
+
+def test_engine_values_are_read_only_and_isolated():
+    src = np.ones((2, 2))
+    tape = ag.Tape()
+    x = tape.leaf(src)
+    src[0, 0] = 99.0
+    assert x.value[0, 0] == 1.0
+    # every recorded output, tracked or constant, scalar or not
+    for v in (x, ag.mul(x, 2.0), ag.sum_all(x), ag.reshape(x, (4,)),
+              ag.add(np.ones(2), 1.0)):
+        assert v.value.dtype == np.float64
+        with pytest.raises(ValueError):
+            v.value[...] = 5.0
