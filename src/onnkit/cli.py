@@ -14,13 +14,19 @@ or one index per block, e.g. "operators = 4 / 0,13 / 3". Comments are
 whole lines starting with '#' or ';'; a value holding whitespace followed
 by '#' or ';' is rejected. Validation failures name the offending line.
 
+train archives the effective configuration (the file's values with the
+--seed and --folds overrides applied, rendered by format_config) in every
+fold's checkpoint. eval builds the network and the fold split from one
+configuration, --config if given, else the archived one, and restores the
+archived state into that network.
+
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure.
 Errors print one line to stderr: "error: <domain>: <message>".
 """
 from __future__ import annotations
 
 import argparse
-import os
+import math
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -42,6 +48,7 @@ from .oplib import OperatorConstants, OperatorSetLibrary, register_builtin_libra
 from .tensor import Tensor
 from .trainer import (
     BUILTIN_METRICS,
+    PARTITIONS,
     MetricSpec,
     Trainer,
     TrainerConfig,
@@ -102,6 +109,9 @@ def _parse_sections(text: str) -> dict[str, dict[str, _Raw]]:
             current = line[1:-1].strip()
             if not current:
                 raise ParseError(f"config: line {lineno}: empty section name")
+            if current not in ("network", "trainer", "data"):
+                raise ValidationError(
+                    f"config: line {lineno}: unknown section [{current}]")
             sections.setdefault(current, {})
             continue
         if "=" not in line:
@@ -147,7 +157,10 @@ class _Section:
             if kind is int:
                 return int(text)
             if kind is float:
-                return float(text)
+                value = float(text)
+                if math.isnan(value):
+                    self.fail(key, f"must be a number, got {text!r}")
+                return value
             return text
         except ValueError:
             self.fail(key, f"must be a {kind.__name__}, got {text!r}")
@@ -223,9 +236,6 @@ def parse_config(text: str,
     """Parse and validate configuration text."""
     lib = library or register_builtin_library()
     sections = _parse_sections(text)
-    for name in sections:
-        if name not in ("network", "trainer", "data"):
-            raise ValidationError(f"{name}: unknown section [{name}]")
     if "network" not in sections:
         raise ValidationError("network: missing section [network]")
 
@@ -465,12 +475,12 @@ def cmd_describe(cfg: FullConfig, library: OperatorSetLibrary | None = None,
     return 0
 
 
-def _train_one_fold(cfg: FullConfig, split, library, config_text, seed):
+def _train_one_fold(cfg: FullConfig, split, library, seed):
     """The fold's trainer, and the error if every one of its runs diverged."""
     net = network_from_config(cfg, library)
     fold_cfg = replace(cfg.trainer, seed=seed)
     trainer = Trainer(net, split, fold_cfg, metrics_from_config(cfg),
-                      config_text, library)
+                      format_config(cfg))
     try:
         trainer.train()
     except NonFiniteLoss as e:
@@ -479,10 +489,8 @@ def _train_one_fold(cfg: FullConfig, split, library, config_text, seed):
 
 
 def cmd_train(cfg: FullConfig, out_dir, jobs: int = 1,
-              config_text: str | None = None,
               library: OperatorSetLibrary | None = None) -> int:
     lib = library or register_builtin_library()
-    text = config_text if config_text is not None else format_config(cfg)
     dataset = dataset_from_config(cfg)
     splits = dataio.partition(dataset, cfg.data.folds, cfg.data.val_fraction,
                               cfg.data.seed)
@@ -490,10 +498,10 @@ def cmd_train(cfg: FullConfig, out_dir, jobs: int = 1,
     if jobs > 1 and len(splits) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(
-                lambda args: _train_one_fold(cfg, args[0], lib, text, args[1]),
+                lambda args: _train_one_fold(cfg, args[0], lib, args[1]),
                 zip(splits, seeds)))
     else:
-        results = [_train_one_fold(cfg, s, lib, text, seed)
+        results = [_train_one_fold(cfg, s, lib, seed)
                    for s, seed in zip(splits, seeds)]
     trainers = [trainer for trainer, _ in results]
     out = Path(out_dir)
@@ -559,7 +567,14 @@ def cmd_eval(ckpt_path, cfg: FullConfig | None = None,
         raise ValidationError(
             f"config: checkpoint holds fold {fold}, but the configuration "
             f"partitions the data into {len(splits)} fold(s)")
-    trainer = Trainer.load(ckpt_path, splits[fold], lib)
+    split = splits[fold]
+    for partition in PARTITIONS:
+        if (len(getattr(split, partition)) == 0
+                and any(k.startswith(f"best/{partition}/") for k in entries)):
+            raise ValidationError(
+                f"config: checkpoint holds bests on the {partition} "
+                f"partition, but the configuration leaves it empty")
+    trainer = Trainer.load(ckpt_path, network_from_config(cfg, lib), split)
     mismatches = 0
     for (partition, metric), best in sorted(trainer.best.items()):
         for p in trainer.net.parameters():
@@ -620,7 +635,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_config(args) -> tuple[FullConfig, str]:
+def _load_config(args) -> FullConfig:
     path = Path(args.config)
     try:
         text = path.read_text()
@@ -633,7 +648,7 @@ def _load_config(args) -> tuple[FullConfig, str]:
         if args.folds < 1:
             raise ValidationError("data: folds must be at least 1")
         cfg.data.folds = args.folds
-    return cfg, text
+    return cfg
 
 
 def main(argv=None) -> int:
@@ -643,30 +658,16 @@ def main(argv=None) -> int:
     except _UsageError as e:
         print(f"error: usage: {e}", file=sys.stderr)
         return 1
-    env_jobs = os.environ.get("ONNKIT_THREADS")
     try:
         if args.command == "train":
-            cfg, text = _load_config(args)
-            jobs = args.jobs
-            if env_jobs is not None:
-                try:
-                    jobs = int(env_jobs)
-                except ValueError:
-                    raise ValidationError(
-                        f"trainer: ONNKIT_THREADS must be an integer, "
-                        f"got {env_jobs!r}")
-            return cmd_train(cfg, args.out, max(1, jobs), text)
+            return cmd_train(_load_config(args), args.out, max(1, args.jobs))
         if args.command == "describe":
-            cfg, _ = _load_config(args)
-            return cmd_describe(cfg)
+            return cmd_describe(_load_config(args))
         if args.command == "gradcheck":
-            cfg, _ = _load_config(args)
-            return cmd_gradcheck(cfg)
+            return cmd_gradcheck(_load_config(args))
         if args.command == "eval":
-            cfg = None
-            if args.config:
-                cfg, _ = _load_config(args)
-            return cmd_eval(args.ckpt, cfg)
+            return cmd_eval(args.ckpt,
+                            _load_config(args) if args.config else None)
         raise _UsageError(f"unknown command {args.command!r}")
     except _UsageError as e:
         print(f"error: usage: {e}", file=sys.stderr)

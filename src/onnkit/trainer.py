@@ -12,8 +12,13 @@ achieved it; on ties the earlier epoch wins. A run whose loss, stage
 outputs or gradients turn NaN or infinite is aborted and recorded as such
 while the remaining runs proceed.
 
-save_all writes the complete session state into one archive; load restores
-it so training continues exactly where it stopped, bit for bit.
+save_all writes the complete session state into one archive: parameters,
+optimizer and generator state, series, bests and, when the trainer was
+given one, the text of the configuration it ran. The archive does not
+describe the network. load restores the state into a network the caller
+built, so training continues exactly where it stopped, bit for bit; the
+command line builds that network from the configuration, a library caller
+from its own build_network call.
 """
 from __future__ import annotations
 
@@ -23,7 +28,7 @@ import json
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -41,8 +46,7 @@ from .errors import (
     NonFiniteValue,
     ShapeMismatch,
 )
-from .network import OpNetwork, build_network, network_forward
-from .oplib import OperatorConstants, OperatorSetLibrary, register_builtin_library
+from .network import OpNetwork, network_forward
 from .tensor import Tensor
 
 PARTITIONS = ("train", "val", "test")
@@ -178,8 +182,7 @@ class Trainer:
 
     def __init__(self, net: OpNetwork, split: FoldSplit, cfg: TrainerConfig,
                  metrics: list[MetricSpec] | None = None,
-                 config_text: str | None = None,
-                 library: OperatorSetLibrary | None = None):
+                 config_text: str | None = None):
         if len(split.train) == 0:
             raise ShapeMismatch("training partition is empty")
         self.net = net
@@ -188,7 +191,6 @@ class Trainer:
         self.metrics = [LOSS_METRIC] + [m for m in (metrics or [])
                                         if m.name != "loss"]
         self.config_text = config_text
-        self.library = library or register_builtin_library()
         self.partitions = [p for p in PARTITIONS if len(self._dataset(p)) > 0]
         self.record = TrainingRecord(self.partitions,
                                      [m.name for m in self.metrics], split.fold,
@@ -332,8 +334,6 @@ class Trainer:
     def save_all(self, path) -> None:
         """Archive parameters, optimizer, generator, series and bests."""
         entries: dict[str, object] = {}
-        entries["arch/json"] = json.dumps(_describe_arch(self.net),
-                                          sort_keys=True).encode()
         entries["trainer/config"] = json.dumps(asdict(self.cfg),
                                                sort_keys=True).encode()
         entries["trainer/metrics"] = json.dumps(
@@ -368,22 +368,23 @@ class Trainer:
         checkpoint.save(path, entries)
 
     @classmethod
-    def load(cls, path, split: FoldSplit,
-             library: OperatorSetLibrary | None = None,
+    def load(cls, path, net: OpNetwork, split: FoldSplit,
              metrics: list[MetricSpec] | None = None) -> "Trainer":
-        """Rebuild a trainer from an archive, ready to continue training.
+        """Restore a trainer from an archive into `net`, ready to continue
+        training.
 
-        Metric compute functions cannot live in the archive; named builtin
-        metrics are reattached automatically and custom ones must be passed
-        back in through `metrics`.
+        `net` must have the parameters the archive holds: the same names,
+        none missing and none extra (CorruptState), the same shapes
+        (ShapeMismatch). Metric compute functions cannot live in the
+        archive; named builtin metrics are reattached automatically and
+        custom ones must be passed back in through `metrics`.
         """
         entries = checkpoint.load(path)
-        for required in ("arch/json", "trainer/config", "trainer/run",
-                         "trainer/epoch"):
+        for required in ("trainer/config", "trainer/run", "trainer/epoch"):
             if required not in entries:
                 raise CorruptState(f"archive lacks required entry {required!r}")
-        lib = library or register_builtin_library()
-        net = _rebuild_net(json.loads(entries["arch/json"].decode()), lib)
+        params = {p.name: p for p in net.parameters()}
+        _check_parameter_names(entries, "param/", params)
         cfg = TrainerConfig(**json.loads(entries["trainer/config"].decode()))
         metric_info = json.loads(entries.get("trainer/metrics", b"[]").decode())
         supplied = {m.name: m for m in metrics or []}
@@ -402,12 +403,9 @@ class Trainer:
                 )
         config_text = entries.get("config/text")
         trainer = cls(net, split, cfg, restored_metrics,
-                      config_text.decode() if config_text else None, lib)
-        for p in net.parameters():
-            key = f"param/{p.name}"
-            if key not in entries:
-                raise CorruptState(f"archive lacks parameter entry {key!r}")
-            p.assign(Tensor(entries[key]))
+                      config_text.decode() if config_text else None)
+        for name, p in params.items():
+            p.assign(Tensor(entries[f"param/{name}"]))
         if "opt/kind" in entries:
             trainer.optimizer = optim.restore_from_entries(entries)
         if "rng/state" in entries:
@@ -421,32 +419,21 @@ class Trainer:
                                               [m.name for m in trainer.metrics],
                                               split.fold)
         trainer.best = _bests_from_entries(entries)
+        for partition, metric in trainer.best:
+            _check_parameter_names(entries, f"best/{partition}/{metric}/param/",
+                                   params)
         return trainer
 
 
-def _describe_arch(net: OpNetwork) -> dict:
-    return {
-        "in_channels": net.in_channels,
-        "tier_sizes": [t.size for t in net.tiers],
-        "kernel_sizes": [t.kernel[0] for t in net.tiers],
-        "operators": [[list(b.opset.names) for b in t.blocks] for t in net.tiers],
-        "sampling_factors": [t.sampling for t in net.tiers],
-        "constants": asdict(net.constants)
-            if hasattr(net.constants, "__dataclass_fields__")
-            else vars(net.constants),
-        "init": list(net.init),
-    }
-
-
-def _rebuild_net(arch: dict, lib: OperatorSetLibrary) -> OpNetwork:
-    opsets = [[lib.set_by_names(*names) for names in tier]
-              for tier in arch["operators"]]
-    constants = OperatorConstants(**arch["constants"])
-    init = arch.get("init", ["uniform", 0.1])
-    net = OpNetwork(arch["in_channels"], arch["tier_sizes"],
-                    arch["kernel_sizes"], opsets, arch["sampling_factors"],
-                    constants, (init[0], float(init[1])))
-    return net
+def _check_parameter_names(entries: dict, prefix: str, names) -> None:
+    """Raise CorruptState naming the first `prefix`<name> entry that the
+    archive and the network do not share, the network's names first."""
+    stored = {k[len(prefix):] for k in entries if k.startswith(prefix)}
+    for name in list(names) + sorted(stored):
+        if (name in names) != (name in stored):
+            where = "network" if name in names else "archive"
+            raise CorruptState(
+                f"parameter entry {prefix + name!r} is only in the {where}")
 
 
 def _record_from_entries(entries: dict, partitions: list[str],

@@ -181,8 +181,7 @@ def test_criterion_04_nonlinear_map_training(capsys, tmp_path):
                         library=LIB)
     cfg = TrainerConfig(num_epochs=60, num_runs=1, optimizer="adam", lr=0.01,
                         batch_size=8, seed=0)
-    trainer = Trainer(net, split, cfg, metrics=[BUILTIN_METRICS["snr"]],
-                      library=LIB)
+    trainer = Trainer(net, split, cfg, metrics=[BUILTIN_METRICS["snr"]])
     t0 = time.perf_counter()
     record = trainer.train()
     span = time.perf_counter() - t0
@@ -214,7 +213,7 @@ def test_criterion_05_blur_inverse_least_squares(capsys):
     t = np.stack([p[1].data for p in split.train.pairs])
     initial = float(((network_forward(net, x).data - t) ** 2).mean())
 
-    trainer = Trainer(net, split, cfg, library=LIB)
+    trainer = Trainer(net, split, cfg)
     record = trainer.train()
     best = min(record.series[("train", "loss")][0])
     ratio = initial / best
@@ -230,10 +229,12 @@ def test_criterion_06_checkpoint_resumption_is_bitwise(capsys, tmp_path):
     (split,) = partition(ds, folds=1, seed=0)
     base = dict(num_runs=1, optimizer="adam", lr=0.02, batch_size=4, seed=9)
 
+    def fresh_net():
+        return build_network(1, [1], [3], [[CONV]], [1], library=LIB)
+
     def fresh_trainer(epochs):
-        net = build_network(1, [1], [3], [[CONV]], [1], library=LIB)
-        return Trainer(net, split, TrainerConfig(num_epochs=epochs, **base),
-                       library=LIB)
+        return Trainer(fresh_net(), split,
+                       TrainerConfig(num_epochs=epochs, **base))
 
     straight = fresh_trainer(10)
     straight_losses = straight.train().series[("train", "loss")][0]
@@ -242,7 +243,7 @@ def test_criterion_06_checkpoint_resumption_is_bitwise(capsys, tmp_path):
     halfway.train()
     path = tmp_path / "half.ckpt"
     halfway.save_all(path)
-    resumed = Trainer.load(path, split, library=LIB)
+    resumed = Trainer.load(path, fresh_net(), split)
     resumed.cfg = dataclasses.replace(resumed.cfg, num_epochs=10)
     resumed_losses = resumed.train().series[("train", "loss")][0]
 
@@ -287,7 +288,7 @@ def test_criterion_07_cmd_train_is_deterministic(capsys, tmp_path):
     outs = []
     for tag in ("a", "b"):
         out = tmp_path / tag
-        code = cmd_train(cfg, out, jobs=1, config_text=TRAIN_CFG, library=LIB)
+        code = cmd_train(cfg, out, jobs=1, library=LIB)
         assert code == 0
         outs.append((out / "summary.csv").read_text())
     ok = strip_timing(outs[0]) == strip_timing(outs[1])

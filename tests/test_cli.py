@@ -1,5 +1,9 @@
 """CLI: config grammar, error lines, commands end to end, exit codes."""
+import contextlib
+import dataclasses
+import io
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -90,7 +94,8 @@ def test_syntax_errors_name_their_line():
 
 
 def test_validation_errors_name_section_and_line():
-    with pytest.raises(ValidationError, match="bogus: unknown section"):
+    with pytest.raises(ValidationError,
+                       match=r"config: line 20: unknown section \[bogus\]"):
         parse_config(BASE + "\n[bogus]\nx = 1\n")
     with pytest.raises(ValidationError, match=r"network: line 3:.*odd"):
         parse_config(BASE.replace("kernel_sizes = 3", "kernel_sizes = 4"))
@@ -117,6 +122,26 @@ def test_line_numbers_survive_comments_and_blanks():
     text = "# header\n\n[network]\n; note\ntier_sizes = 0\n"
     with pytest.raises(ValidationError, match="network: line 5: tier_sizes"):
         parse_config(text)
+
+
+FLOAT_KEYS = [(section, f.name)
+              for section, kind in (("network", NetworkConfig),
+                                    ("trainer", TrainerConfig),
+                                    ("data", DataConfig))
+              for f in dataclasses.fields(kind) if f.type == "float"]
+
+
+@pytest.mark.parametrize("section,key", FLOAT_KEYS)
+def test_nan_is_a_config_error_for_every_float_key(tmp_path, capsys,
+                                                   section, key):
+    lines = [line for line in BASE.splitlines()
+             if not line.startswith(f"{key} =")]
+    at = lines.index(f"[{section}]") + 1
+    lines.insert(at, f"{key} = nan")
+    path = write_config(tmp_path, "\n".join(lines) + "\n")
+    assert main(["describe", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {section}: line {at + 1}: {key} must be a number, got 'nan'"]
 
 
 @pytest.mark.parametrize("old,new", [
@@ -253,20 +278,21 @@ def test_train_folds_override_drops_test_partition(tmp_path):
     assert not (out / "test_fold0.csv").exists()
 
 
-def test_train_respects_thread_env(tmp_path, monkeypatch):
+def test_threaded_folds_write_the_same_archives(tmp_path):
     path = write_config(tmp_path)
-    out = tmp_path / "threaded"
-    monkeypatch.setenv("ONNKIT_THREADS", "2")
-    assert main(["train", "--config", str(path), "--out", str(out)]) == 0
-    assert (out / "fold1.ckpt").exists()
-
-
-def test_bad_thread_env_is_a_usage_level_error(tmp_path, monkeypatch, capsys):
-    path = write_config(tmp_path)
-    monkeypatch.setenv("ONNKIT_THREADS", "many")
-    assert main(["train", "--config", str(path),
-                 "--out", str(tmp_path / "x")]) == 1
-    assert "ONNKIT_THREADS" in capsys.readouterr().err
+    archives = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["train", "--config", str(path), "--out", str(out),
+                     "--jobs", jobs]) == 0
+        archives[jobs] = [ckpt_mod.load(out / f"fold{fold}.ckpt")
+                          for fold in (0, 1)]
+    for serial, threaded in zip(archives["1"], archives["2"]):
+        assert set(serial) == set(threaded)
+        for name in serial:
+            if not re.fullmatch(r"stats/\w+/per_image_time_s/run\d+", name):
+                assert (ckpt_mod.encode({name: serial[name]})
+                        == ckpt_mod.encode({name: threaded[name]})), name
 
 
 def test_eval_reproduces_archived_bests(tmp_path, capsys):
@@ -305,6 +331,135 @@ def test_eval_with_too_few_config_folds_is_a_config_error(tmp_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: config: ")
     assert "fold 1" in lines[0]
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    # a warning would reach stderr as lines of its own
+    return code, out.getvalue().splitlines(), \
+        err.getvalue().splitlines() + [str(w.message) for w in caught]
+
+
+def test_archives_hold_the_effective_config_and_no_network_entry(tmp_path):
+    # a one-fold file trained at --folds 3 --seed 4: every archive holds
+    # the config that ran, so eval needs no --config for any fold
+    path = write_config(tmp_path, BASE.replace("folds = 2", "folds = 1"))
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(path), "--out", str(out),
+                 "--folds", "3", "--seed", "4"]) == 0
+    want = parse_config(path.read_text())
+    want.data.folds, want.trainer.seed = 3, 4
+    for fold in range(3):
+        ckpt = out / f"fold{fold}.ckpt"
+        entries = ckpt_mod.load(ckpt)
+        assert "arch/json" not in entries
+        assert entries["config/text"].decode() == format_config(want)
+        code, lines, err = run_cli(["eval", "--ckpt", str(ckpt)])
+        assert (code, err) == (0, [])
+        assert lines and all(line.endswith(", match") for line in lines)
+
+
+def test_an_archive_with_a_network_entry_still_evaluates():
+    # written by onnkit when archives still described their network in an
+    # arch/json entry beside config/text: fold 1 of BASE; eval ignores
+    # the entry and builds the network from the archived config
+    ckpt = Path(__file__).parent / "data" / "with_arch_json_fold1.ckpt"
+    assert "arch/json" in ckpt_mod.load(ckpt)
+    code, lines, err = run_cli(["eval", "--ckpt", str(ckpt)])
+    assert (code, err) == (0, [])
+    assert len(lines) == 6
+    assert all(line.startswith("fold 1 ") and line.endswith(", match")
+               for line in lines)
+
+
+def test_eval_with_an_emptied_partition_is_a_config_error(tmp_path):
+    path = write_config(tmp_path)
+    out = tmp_path / "out"
+    main(["train", "--config", str(path), "--out", str(out)])
+    no_val = write_config(tmp_path,
+                          BASE.replace("val_fraction = 0.25", "val_fraction = 0"))
+    code, lines, err = run_cli(["eval", "--ckpt", str(out / "fold0.ckpt"),
+                                "--config", str(no_val)])
+    assert (code, lines) == (1, [])
+    assert len(err) == 1 and err[0].startswith("error: config: ")
+    assert "val partition" in err[0]
+
+
+def test_eval_with_another_network_is_a_runtime_error(tmp_path):
+    path = write_config(tmp_path)
+    out = tmp_path / "out"
+    main(["train", "--config", str(path), "--out", str(out)])
+    wider = write_config(tmp_path, BASE.replace("tier_sizes = 1",
+                                                "tier_sizes = 2"))
+    code, lines, err = run_cli(["eval", "--ckpt", str(out / "fold0.ckpt"),
+                                "--config", str(wider)])
+    assert (code, lines) == (2, [])
+    assert err == ["error: runtime: parameter entry 'param/0/1/weights' is only "
+                   "in the network"]
+
+
+_MUTANT_VALUES = ["0", "-1", "1", "2", "3", "4", "12", "0.5", "2.5", "nan",
+                  "inf", "-inf", "1e999", "x", "", ",", "1,", "1 / 2", "2,3",
+                  "sum", "adam", "folder", "snr:avg", "fan_in"]
+_MUTANT_LINES = ["[bogus]", "[]", "[net work]", "nonsense", "= 1", "typo = 1",
+                 "[data]", "[network]", "channels = 2", "in_channels = 2",
+                 "path = absent-dir", "sampling_factors = 2", "operators = 54"]
+
+
+@st.composite
+def mutated_base_configs(draw):
+    """BASE with one or two lines given a new value, dropped or preceded
+    by a stray line."""
+    lines = BASE.splitlines()
+    for _ in range(draw(st.integers(1, 2))):
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["value", "value", "drop", "insert"]))
+        if kind == "value" and "=" in lines[i]:
+            key = lines[i].partition("=")[0].strip()
+            lines[i] = f"{key} = {draw(st.sampled_from(_MUTANT_VALUES))}"
+        elif kind == "drop":
+            del lines[i]
+        else:
+            lines.insert(i, draw(st.sampled_from(_MUTANT_LINES)))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def base_archive(tmp_path_factory):
+    root = tmp_path_factory.mktemp("base")
+    path = root / "base.cfg"
+    path.write_text(BASE)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["train", "--config", str(path),
+                     "--out", str(root / "out")]) == 0
+    return root / "out" / "fold1.ckpt"
+
+
+ERROR_LINE = re.compile(r"error: (usage|config|network|trainer|data|runtime): "
+                        r"\S.*")
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=mutated_base_configs())
+def test_every_cli_failure_is_one_error_line(base_archive, text):
+    path = base_archive.parent.parent / "mutant.cfg"
+    path.write_text(text)
+    for argv in (["describe", "--config", str(path)],
+                 ["eval", "--ckpt", str(base_archive), "--config", str(path)]):
+        code, out, err = run_cli(argv)
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert err == []
+        elif err or code == 1:
+            assert len(err) == 1 and ERROR_LINE.fullmatch(err[0]), err
+            assert code == 1 or argv[0] == "eval"
+        else:
+            # eval's documented MISMATCH verdict prints no error line
+            assert argv[0] == "eval" and "MISMATCH" in "\n".join(out)
 
 
 DIVERGING = """\

@@ -223,7 +223,7 @@ def test_tie_margins_are_computed_only_for_gradcheck(lib, monkeypatch):
     data = make_synthetic_task("identity", count=4, size=8, seed=0)
     split = partition(data, folds=1, val_fraction=0.25, seed=0)[0]
     cfg = TrainerConfig(num_epochs=1, optimizer="sgd", lr=0.01, batch_size=4)
-    Trainer(net, split, cfg, library=lib).train()
+    Trainer(net, split, cfg).train()
     assert calls == []
     # the same selections on gradcheck's tape do get their margins
     with pytest.raises(AssertionError, match="outside gradcheck"):

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from onnkit.dataio import make_synthetic_task, partition
+from onnkit import checkpoint
 from onnkit.errors import (
     ConstantTarget,
+    CorruptState,
     NonFiniteGradient,
     NonFiniteLoss,
     NonFiniteValue,
@@ -91,7 +93,7 @@ def identity_split(count=8, size=4, seed=0):
 
 def make_trainer(cfg, split=None):
     return Trainer(conv_net(), split or identity_split(), cfg,
-                   metrics=[BUILTIN_METRICS["snr"]], library=LIB)
+                   metrics=[BUILTIN_METRICS["snr"]])
 
 
 def test_training_reduces_loss_and_fills_record():
@@ -180,7 +182,7 @@ def test_stage_overflow_aborts_the_run_and_the_next_run_completes():
     split = partition(data, folds=1, val_fraction=0.25, seed=0)[0]
     cfg = TrainerConfig(num_epochs=3, num_runs=2, optimizer="sgd", lr=4.0,
                         batch_size=4, seed=1)
-    trainer = Trainer(net, split, cfg, library=LIB)
+    trainer = Trainer(net, split, cfg)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy's overflow warning stays quiet
         record = trainer.train()
@@ -238,7 +240,7 @@ def test_output_shape_mismatch_fails_at_construction():
     two_channel = build_network(1, [2], [3], [[idx]], [1], library=LIB)
     cfg = TrainerConfig(num_epochs=1, num_runs=1)
     with pytest.raises(ShapeMismatch):
-        Trainer(two_channel, identity_split(), cfg, library=LIB)
+        Trainer(two_channel, identity_split(), cfg)
 
 
 def test_evaluate_reports_all_metrics():
@@ -263,7 +265,7 @@ def test_save_load_resume_matches_straight_run_bitwise(tmp_path):
     path = tmp_path / "half.ckpt"
     halfway.save_all(path)
 
-    resumed = Trainer.load(path, split, library=LIB)
+    resumed = Trainer.load(path, conv_net(), split)
     resumed.cfg = dataclasses.replace(resumed.cfg, num_epochs=10)
     resumed_rec = resumed.train()
 
@@ -281,12 +283,12 @@ def test_loaded_trainer_preserves_bests_and_config_text(tmp_path):
                         seed=4)
     trainer = Trainer(conv_net(), split, cfg,
                       metrics=[BUILTIN_METRICS["snr"]],
-                      config_text="[network]\nsize = 1\n", library=LIB)
+                      config_text="[network]\nsize = 1\n")
     trainer.train()
     path = tmp_path / "t.ckpt"
     trainer.save_all(path)
 
-    again = Trainer.load(path, split, library=LIB)
+    again = Trainer.load(path, conv_net(), split)
     assert again.config_text == "[network]\nsize = 1\n"
     assert set(again.best) == set(trainer.best)
     for key, entry in trainer.best.items():
@@ -296,6 +298,60 @@ def test_loaded_trainer_preserves_bests_and_config_text(tmp_path):
         for name, arr in entry.params.items():
             assert np.array_equal(other.params[name], arr)
     assert again.record.series == trainer.record.series
+
+
+def two_tier_net():
+    idx = LIB.set_by_names("mul", "sum", "identity").index
+    return build_network(1, [1, 1], [3, 3], [[idx], [idx]], [1, 1],
+                         library=LIB)
+
+
+def saved_trainer(tmp_path, net):
+    trainer = Trainer(net, identity_split(),
+                      TrainerConfig(num_epochs=1, num_runs=1, seed=2))
+    trainer.train()
+    path = tmp_path / "t.ckpt"
+    trainer.save_all(path)
+    return path
+
+
+def test_archive_holds_no_network_description(tmp_path):
+    entries = checkpoint.load(saved_trainer(tmp_path, conv_net()))
+    assert not [k for k in entries if k.startswith("arch/")]
+    assert sorted(k for k in entries if k.startswith("param/")) == [
+        "param/0/0/bias", "param/0/0/weights"]
+
+
+@pytest.mark.parametrize("saved,loaded,message", [
+    (conv_net, two_tier_net,
+     "parameter entry 'param/1/0/weights' is only in the network"),
+    (two_tier_net, conv_net,
+     "parameter entry 'param/1/0/bias' is only in the archive"),
+])
+def test_load_names_a_parameter_the_archive_and_network_do_not_share(
+        tmp_path, saved, loaded, message):
+    path = saved_trainer(tmp_path, saved())
+    with pytest.raises(CorruptState) as err:
+        Trainer.load(path, loaded(), identity_split())
+    assert str(err.value) == message
+
+
+def test_load_rejects_a_reshaped_parameter(tmp_path):
+    path = saved_trainer(tmp_path, conv_net())
+    idx = LIB.set_by_names("mul", "sum", "identity").index
+    wider = build_network(1, [1], [5], [[idx]], [1], library=LIB)
+    with pytest.raises(ShapeMismatch, match="'0/0/weights' has shape"):
+        Trainer.load(path, wider, identity_split())
+
+
+def test_load_names_a_best_parameter_the_archive_lacks(tmp_path):
+    path = saved_trainer(tmp_path, conv_net())
+    entries = checkpoint.load(path)
+    del entries["best/val/loss/param/0/0/bias"]
+    checkpoint.save(path, entries)
+    with pytest.raises(CorruptState, match="'best/val/loss/param/0/0/bias' "
+                                           "is only in the network"):
+        Trainer.load(path, conv_net(), identity_split())
 
 
 def test_export_stats_layout(tmp_path):
