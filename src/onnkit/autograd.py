@@ -8,6 +8,10 @@ evaluation order, so a node's parents always precede it; the backward pass
 is a single reverse sweep that accumulates gradients additively at fan-out
 points. Gradients returned for a node always have exactly that node's shape.
 
+A tape lives for one backward: backward returns every leaf's gradient and
+releases the tape, after which using it raises DetachedRoot. Ops on
+untracked inputs record nothing, and grad closures hold no Variables.
+
 Selection-style operations (max, median, downsampling by max) remember
 which element won. Those indices drive the backward scatter, and they also
 feed the finite-difference checker: if a perturbed evaluation selects a
@@ -77,8 +81,11 @@ class Tape:
         # are never computed
         self._margins = False
         self._watched: dict[int, Variable] = {}
+        self._released = False
 
     def _append(self, node: Node) -> int:
+        if self._released:
+            raise DetachedRoot("this tape was released by backward; use a new one")
         self.nodes.append(node)
         return len(self.nodes) - 1
 
@@ -97,9 +104,6 @@ class Tape:
             var = self.leaf(param.value)
             self._watched[id(param)] = var
         return var
-
-    def watched_variable(self, param: Parameter) -> "Variable | None":
-        return self._watched.get(id(param))
 
     def selection_signature(self) -> list[Array]:
         """Winner indices of every selection node, in recording order."""
@@ -237,9 +241,10 @@ def add(a, b) -> Variable:
     a, b = as_variable(a), as_variable(b)
     broadcast_shape(a.shape, b.shape)
     out = a.value + b.value
+    sa, sb = a.shape, b.shape
 
     def grad_fn(g: Array):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return record((a, b), out, grad_fn)
 
@@ -248,9 +253,10 @@ def sub(a, b) -> Variable:
     a, b = as_variable(a), as_variable(b)
     broadcast_shape(a.shape, b.shape)
     out = a.value - b.value
+    sa, sb = a.shape, b.shape
 
     def grad_fn(g: Array):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(-g, sb)
 
     return record((a, b), out, grad_fn)
 
@@ -262,7 +268,7 @@ def mul(a, b) -> Variable:
     out = ad * bd
 
     def grad_fn(g: Array):
-        return _unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)
+        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
 
     return record((a, b), out, grad_fn)
 
@@ -408,8 +414,7 @@ def stack(parts: Sequence[Variable], axis: int = 0) -> Variable:
     out = np.stack([p.value for p in parts], axis=axis)
 
     def grad_fn(g: Array):
-        slots = np.moveaxis(g, axis, 0)
-        return tuple(np.ascontiguousarray(slots[i]) for i in range(len(parts)))
+        return tuple(np.ascontiguousarray(s) for s in np.moveaxis(g, axis, 0))
 
     return record(parts, out, grad_fn)
 
@@ -439,18 +444,19 @@ def apply_custom(rule: CustomBackward, *inputs) -> Variable:
 
     def grad_fn(g: Array):
         grads = rule.backward(g, *arrays, out)
-        if len(grads) != len(variables):
+        if len(grads) != len(arrays):
             raise ShapeMismatch(
                 f"custom backward returned {len(grads)} gradients for "
-                f"{len(variables)} inputs"
+                f"{len(arrays)} inputs"
             )
-        for got, var in zip(grads, variables):
-            if got is not None and tuple(got.shape) != var.shape:
+        for got, arr in zip(grads, arrays):
+            if got is not None and tuple(got.shape) != arr.shape:
                 raise ShapeMismatch(
                     f"custom backward produced shape {tuple(got.shape)} "
-                    f"for input of shape {var.shape}"
+                    f"for input of shape {arr.shape}"
                 )
-        return grads
+        # copied: the rule's arrays may be the caller's, not to freeze or share
+        return tuple(None if got is None else np.array(got, float) for got in grads)
 
     return record(variables, out, grad_fn)
 
@@ -458,43 +464,43 @@ def apply_custom(rule: CustomBackward, *inputs) -> Variable:
 # --- backward pass ---
 
 def backward(root: Variable) -> dict[int, Tensor]:
-    """Reverse sweep from a scalar root.
+    """Reverse sweep from a scalar root that consumes the root's tape.
 
-    Returns a map from node id to gradient for every node that received
-    gradient, plus a zero gradient for every leaf the root does not reach.
+    Returns {leaf node id: gradient} for every leaf, zero where the root
+    does not reach. Completed or not, the sweep releases the tape; using
+    it again raises DetachedRoot.
     """
-    if root.tape is None or root.node is None:
-        raise DetachedRoot("root is not recorded on any tape")
+    tape = root.tape
+    if tape is None or root.node is None or tape._released:
+        raise DetachedRoot("root is not recorded on a live tape")
     if root.value.size != 1:
         raise NonScalarRoot(f"root must hold one element, has {root.value.size}")
-    tape = root.tape
     grads: dict[int, Array] = {root.node: np.ones(root.value.shape, dtype=np.float64)}
-    for nid in range(root.node, -1, -1):
-        g = grads.get(nid)
-        if g is None:
-            continue
-        node = tape.nodes[nid]
-        if node.grad_fn is None:
-            continue
-        parent_grads = node.grad_fn(g)
-        for pid, pg in zip(node.parents, parent_grads):
-            if pid is None or pg is None:
+    leaves: dict[int, Tensor] = {}
+    try:
+        for nid in range(len(tape.nodes) - 1, -1, -1):
+            g = grads.pop(nid, None)
+            node = tape.nodes[nid]
+            if node.grad_fn is None:
+                leaves[nid] = Tensor._wrap(np.zeros(node.shape) if g is None else g)
                 continue
-            expected = tape.nodes[pid].shape
-            if tuple(pg.shape) != expected:
-                raise ShapeMismatch(
-                    f"backward rule produced shape {tuple(pg.shape)} for node "
-                    f"of shape {expected}"
-                )
-            if pid in grads:
-                grads[pid] = grads[pid] + pg
-            else:
-                grads[pid] = pg
-    result = {nid: Tensor._wrap(np.array(g)) for nid, g in grads.items()}
-    for nid, node in enumerate(tape.nodes):
-        if node.grad_fn is None and nid not in result:
-            result[nid] = Tensor._wrap(np.zeros(node.shape, dtype=np.float64))
-    return result
+            if g is None:
+                continue
+            for pid, pg in zip(node.parents, node.grad_fn(g)):
+                if pid is None or pg is None:
+                    continue
+                expected = tape.nodes[pid].shape
+                if tuple(pg.shape) != expected:
+                    raise ShapeMismatch(
+                        f"backward rule produced shape {tuple(pg.shape)} for node "
+                        f"of shape {expected}"
+                    )
+                grads[pid] = grads[pid] + pg if pid in grads else pg
+    finally:
+        tape._released = True
+        tape.nodes.clear()
+        tape._watched.clear()
+    return leaves
 
 
 # --- finite-difference checking ---
@@ -541,8 +547,9 @@ def gradcheck(f: Callable[..., Variable], inputs: Sequence[Tensor], *,
     base_value = float(root.value.reshape(()))
     if not math.isfinite(base_value):
         raise NonFiniteValue("gradcheck target is not finite")
-    grads = backward(root)
     base_signature = tape.selection_signature()
+    min_margin = tape.min_selection_margin()
+    grads = backward(root)
 
     def evaluate(arrays: list[Array]) -> tuple[float, list[Array]]:
         probe_tape = Tape()
@@ -577,6 +584,6 @@ def gradcheck(f: Callable[..., Variable], inputs: Sequence[Tensor], *,
             worst = max(worst, _rel_err(float(analytic.reshape(-1)[c]), numeric))
         max_errs.append(worst)
     report = GradcheckReport(max_rel_err=max_errs, tol=tol, tie_coords=tie_coords,
-                             min_margin=tape.min_selection_margin())
+                             min_margin=min_margin)
     report.passed = all(e <= tol for e in max_errs)
     return report

@@ -17,8 +17,9 @@ by '#' or ';' is rejected. Validation failures name the offending line.
 train archives the effective configuration (the file's values with the
 --seed and --folds overrides applied, rendered by format_config) in every
 fold's checkpoint. eval builds the network and the fold split from one
-configuration, --config if given, else the archived one, and restores the
-archived state into that network.
+configuration, --config if given, else the archived one (--seed and
+--folds apply to either), and restores the archived state into that
+network.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure.
 Errors print one line to stderr: "error: <domain>: <message>".
@@ -35,11 +36,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataio
+from . import checkpoint, dataio
 from .errors import (
     NonFiniteLoss,
     OnnkitError,
     ParseError,
+    TooFewSamples,
     UnknownOptimizer,
     ValidationError,
 )
@@ -438,6 +440,17 @@ def dataset_from_config(cfg: FullConfig) -> dataio.PairedImageDataset:
         raise ValidationError(f"data: {e}") from e
 
 
+def _splits_from_config(cfg: FullConfig) -> list[dataio.FoldSplit]:
+    # like an unreadable dataset, data that cannot be cut into the
+    # configured folds is a configuration problem (exit code 1)
+    d = cfg.data
+    dataset = dataset_from_config(cfg)
+    try:
+        return dataio.partition(dataset, d.folds, d.val_fraction, d.seed)
+    except TooFewSamples as e:
+        raise ValidationError(f"data: {e}") from e
+
+
 def metrics_from_config(cfg: FullConfig) -> list[MetricSpec]:
     out = []
     for name, crit in cfg.metrics:
@@ -491,9 +504,7 @@ def _train_one_fold(cfg: FullConfig, split, library, seed):
 def cmd_train(cfg: FullConfig, out_dir, jobs: int = 1,
               library: OperatorSetLibrary | None = None) -> int:
     lib = library or register_builtin_library()
-    dataset = dataset_from_config(cfg)
-    splits = dataio.partition(dataset, cfg.data.folds, cfg.data.val_fraction,
-                              cfg.data.seed)
+    splits = _splits_from_config(cfg)
     seeds = [_fold_seed(cfg.trainer.seed, s.fold) for s in splits]
     if jobs > 1 and len(splits) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -546,22 +557,26 @@ def cmd_gradcheck(cfg: FullConfig,
     return 0 if failures == 0 else 2
 
 
+def _archived_config_text(entries: dict) -> str:
+    text = entries.get("config/text")
+    if text is None:
+        raise ValidationError(
+            "config: checkpoint stores no configuration; pass --config")
+    return text.decode()
+
+
 def cmd_eval(ckpt_path, cfg: FullConfig | None = None,
              library: OperatorSetLibrary | None = None, stream=None) -> int:
-    from . import checkpoint as ckpt_mod
+    """Re-evaluate every archived best. ckpt_path is an archive path or the
+    entries checkpoint.load decoded from one; cfg defaults to the
+    configuration the archive holds."""
     stream = stream or sys.stdout
     lib = library or register_builtin_library()
-    entries = ckpt_mod.load(ckpt_path)
+    entries = (ckpt_path if isinstance(ckpt_path, dict)
+               else checkpoint.load(ckpt_path))
     if cfg is None:
-        text = entries.get("config/text")
-        if text is None:
-            print("error: config: checkpoint stores no configuration; "
-                  "pass --config", file=sys.stderr)
-            return 1
-        cfg = parse_config(text.decode(), lib)
-    dataset = dataset_from_config(cfg)
-    splits = dataio.partition(dataset, cfg.data.folds, cfg.data.val_fraction,
-                              cfg.data.seed)
+        cfg = parse_config(_archived_config_text(entries), lib)
+    splits = _splits_from_config(cfg)
     fold = int(np.asarray(entries.get("trainer/fold", np.array([0]))).reshape(-1)[0])
     if fold >= len(splits):
         raise ValidationError(
@@ -574,7 +589,7 @@ def cmd_eval(ckpt_path, cfg: FullConfig | None = None,
             raise ValidationError(
                 f"config: checkpoint holds bests on the {partition} "
                 f"partition, but the configuration leaves it empty")
-    trainer = Trainer.load(ckpt_path, network_from_config(cfg, lib), split)
+    trainer = Trainer.load(entries, network_from_config(cfg, lib), split)
     mismatches = 0
     for (partition, metric), best in sorted(trainer.best.items()):
         for p in trainer.net.parameters():
@@ -635,16 +650,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_config(args) -> FullConfig:
-    path = Path(args.config)
-    try:
-        text = path.read_text()
-    except OSError as e:
-        raise ParseError(f"config: cannot read {path}: {e}") from e
+def _load_config(args, archive: dict | None = None) -> FullConfig:
+    """The --config file, else the configuration the decoded archive
+    holds, with the --seed and --folds overrides applied."""
+    if args.config:
+        path = Path(args.config)
+        try:
+            text = path.read_text()
+        except OSError as e:
+            raise ParseError(f"config: cannot read {path}: {e}") from e
+    else:
+        text = _archived_config_text(archive)
     cfg = parse_config(text)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg.trainer.seed = args.seed
-    if getattr(args, "folds", None) is not None:
+    if args.folds is not None:
         if args.folds < 1:
             raise ValidationError("data: folds must be at least 1")
         cfg.data.folds = args.folds
@@ -666,8 +686,8 @@ def main(argv=None) -> int:
         if args.command == "gradcheck":
             return cmd_gradcheck(_load_config(args))
         if args.command == "eval":
-            return cmd_eval(args.ckpt,
-                            _load_config(args) if args.config else None)
+            entries = checkpoint.load(args.ckpt)
+            return cmd_eval(entries, _load_config(args, entries))
         raise _UsageError(f"unknown command {args.command!r}")
     except _UsageError as e:
         print(f"error: usage: {e}", file=sys.stderr)

@@ -30,7 +30,7 @@ class NonScalarRoot(OnnkitError):
 
 
 class DetachedRoot(OnnkitError):
-    """backward() was called on a value that is not on any tape."""
+    """The value is on no tape, or on one that a backward released."""
 
 
 class NonFiniteValue(OnnkitError):

@@ -51,11 +51,13 @@ class OpBlock:
     def parameters(self) -> list[Parameter]:
         return [self.weights, self.bias]
 
-    def forward(self, patches: Variable, spatial: tuple[int, int], tape: Tape,
-                constants: OperatorConstants) -> Variable:
-        """Map the tier's patch matrix [C, M*N, m*n] to this block's [M, N]."""
-        return block_forward(self.opset, tape.watch(self.weights),
-                             tape.watch(self.bias), patches, spatial, constants)
+    def forward(self, patches: Variable, spatial: tuple[int, int],
+                tape: Tape | None, constants: OperatorConstants) -> Variable:
+        """Map the tier's patch matrix [C, M*N, m*n] to this block's [M, N];
+        without a tape the parameters enter as constants."""
+        leaf = tape.watch if tape is not None else lambda p: ag.as_variable(p.value)
+        return block_forward(self.opset, leaf(self.weights), leaf(self.bias),
+                             patches, spatial, constants)
 
 
 def block_forward(opset: OperatorSet, weights: Variable, bias: Variable,
@@ -108,7 +110,7 @@ class OpTier:
             return (mm // s, nn // s)
         return (mm * -s, nn * -s)
 
-    def forward(self, x: Variable, tape: Tape,
+    def forward(self, x: Variable, tape: Tape | None,
                 constants: OperatorConstants) -> Variable:
         c, mm, nn = x.shape
         if c != self.in_channels:
@@ -187,19 +189,15 @@ class OpNetwork:
                     rng.uniform(-b, b, size=(c, m, n))))
                 blk.bias.assign(Tensor(0.0))
 
-    def forward_sample(self, x: Variable, tape: Tape) -> Variable:
-        for tier in self.tiers:
-            x = tier.forward(x, tape, self.constants)
-        return x
-
 
 def network_forward(net: OpNetwork, batch, tape: Tape | None = None):
     """Run a [B, C, M, N] batch through the network.
 
     Samples are processed independently and stacked, so a batch gives
     bitwise the same outputs as running its samples one by one. Without a
-    tape the result is a Tensor; with one it is a tracked variable
-    recorded on that tape.
+    tape nothing is recorded (the parameters enter as constants) and the
+    result is a Tensor; with one it is a tracked variable recorded on that
+    tape, which the caller's backward then consumes.
     """
     batch_t = batch if isinstance(batch, Tensor) else Tensor(batch)
     if batch_t.ndim != 4:
@@ -208,11 +206,12 @@ def network_forward(net: OpNetwork, batch, tape: Tape | None = None):
         raise ShapeMismatch(
             f"network expects {net.in_channels} channels, got {batch_t.shape[1]}"
         )
-    work_tape = tape if tape is not None else Tape()
     outs = []
-    for i in range(batch_t.shape[0]):
-        sample = Variable(batch_t.data[i], None, None)
-        outs.append(net.forward_sample(sample, work_tape))
+    for sample in batch_t.data:
+        x = Variable(sample, None, None)
+        for tier in net.tiers:
+            x = tier.forward(x, tape, net.constants)
+        outs.append(x)
     stacked = ag.stack(outs, axis=0)
     if tape is None:
         return Tensor._wrap(stacked.value)

@@ -160,10 +160,6 @@ class TrainingRecord:
     def run_count(self) -> int:
         return len(self.run_status)
 
-    def epochs_in_run(self, run: int) -> int:
-        first = (self.partitions[0], self.metric_names[0])
-        return len(self.series[first][run])
-
 
 def _rng_for_run(seed: int, run: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(run, 1))
@@ -258,13 +254,10 @@ class Trainer:
                     f"loss became {last_loss} in run {self._run} "
                     f"epoch {self._epoch}"
                 )
+            leaves = {p.name: tape.watch(p).node for p in params}
             grads = ag.backward(loss)
-            grad_map = {}
-            for p in params:
-                var = tape.watched_variable(p)
-                if var is not None:
-                    grad_map[p.name] = grads[var.node]
-            self.optimizer.step(params, grad_map)
+            self.optimizer.step(params, {name: grads[nid]
+                                         for name, nid in leaves.items()})
         if self.cfg.lr_decay != 1.0:
             self.optimizer.scale_lr(self.cfg.lr_decay)
         return last_loss
@@ -371,7 +364,8 @@ class Trainer:
     def load(cls, path, net: OpNetwork, split: FoldSplit,
              metrics: list[MetricSpec] | None = None) -> "Trainer":
         """Restore a trainer from an archive into `net`, ready to continue
-        training.
+        training. `path` is the archive's path, or the entries
+        checkpoint.load already decoded from it.
 
         `net` must have the parameters the archive holds: the same names,
         none missing and none extra (CorruptState), the same shapes
@@ -379,7 +373,7 @@ class Trainer:
         archive; named builtin metrics are reattached automatically and
         custom ones must be passed back in through `metrics`.
         """
-        entries = checkpoint.load(path)
+        entries = path if isinstance(path, dict) else checkpoint.load(path)
         for required in ("trainer/config", "trainer/run", "trainer/epoch"):
             if required not in entries:
                 raise CorruptState(f"archive lacks required entry {required!r}")

@@ -237,6 +237,9 @@ def test_custom_backward_shape_is_validated():
     root = ag.sum_all(apply_custom(bad, xv))
     with pytest.raises(ShapeMismatch):
         backward(root)
+    # a failed sweep releases the tape as well
+    with pytest.raises(DetachedRoot):
+        backward(root)
 
 
 def test_correct_custom_rule_passes_gradcheck_and_wrong_one_fails():
@@ -277,3 +280,52 @@ def test_backward_is_deterministic():
         return backward(root)[xv.node].data
 
     assert np.array_equal(run(), run())
+
+
+def test_backward_returns_every_leaf_and_releases_its_tape():
+    tape = Tape()
+    x = tape.leaf(Tensor([1.0, 2.0]))
+    unused = tape.leaf(Tensor(3.0))
+    hidden = ag.tanh(x)
+    root = ag.sum_all(ag.mul(hidden, hidden))
+    late = tape.leaf(Tensor([4.0]))  # recorded after the root
+    grads = backward(root)
+    assert sorted(grads) == sorted([x.node, unused.node, late.node])
+    assert grads[unused.node].data == 0.0
+    assert np.array_equal(grads[late.node].data, [0.0])
+    assert tape.nodes == []
+    with pytest.raises(DetachedRoot):
+        backward(root)
+    # a value of the released tape can no longer be recorded on
+    with pytest.raises(DetachedRoot):
+        ag.mul(hidden, 2.0)
+    with pytest.raises(DetachedRoot):
+        tape.leaf(Tensor(1.0))
+    assert ag.mul(hidden.value, 2.0).tape is None  # its array still can
+
+
+def test_custom_rule_gradients_stay_the_callers_own():
+    returned = []
+
+    def rule_backward(g, xin, out):
+        grad = 2.0 * g * xin
+        returned.append(grad)
+        return (grad,)
+
+    double_square = CustomBackward(forward=lambda x: x * x,
+                                   backward=rule_backward)
+    tape = Tape()
+    x = tape.leaf(Tensor([0.5, -1.5]))
+    # one use reaches the leaf directly, another through a fan-out sum
+    direct = tape.leaf(Tensor([2.0, 3.0]))
+    root = ag.sum_all(ag.add(apply_custom(double_square, direct),
+                             ag.add(apply_custom(double_square, x),
+                                    apply_custom(double_square, x))))
+    grads = backward(root)
+    assert np.array_equal(grads[direct.node].data, [4.0, 6.0])
+    assert np.array_equal(grads[x.node].data, [2.0, -6.0])
+    assert len(returned) == 3
+    for arr in returned:
+        assert arr.flags.writeable
+        for g in grads.values():
+            assert not np.shares_memory(arr, g.data)

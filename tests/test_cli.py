@@ -621,3 +621,71 @@ def test_seed_override_changes_training(tmp_path):
                      "--seed", seed, "--folds", "1"]) == 0
         outs.append((out / "train_fold0.csv").read_text())
     assert outs[0] != outs[1]
+
+
+@pytest.fixture(scope="module")
+def base_out(tmp_path_factory):
+    """BASE trained once: its two fold archives and its config file."""
+    tmp = tmp_path_factory.mktemp("base")
+    path = write_config(tmp)
+    code, _, err = run_cli(["train", "--config", str(path),
+                            "--out", str(tmp / "out")])
+    assert (code, err) == (0, [])
+    return tmp / "out", path
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("folds = 2", "folds = 12", "cannot cut 8 samples into 12 folds"),
+    ("count = 8\nsize = 6\nfolds = 2\nval_fraction = 0.25",
+     "count = 2\nsize = 6\nfolds = 2\nval_fraction = 0.75",
+     "fold 0 has no training samples"),
+], ids=["more-folds-than-samples", "fold-without-training-samples"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_data_that_cannot_be_cut_into_folds_is_a_data_error(
+        base_out, tmp_path, command, old, new, message):
+    out, _ = base_out
+    path = write_config(tmp_path, BASE.replace(old, new))
+    argv = (["train", "--out", str(tmp_path / "x")] if command == "train"
+            else ["eval", "--ckpt", str(out / "fold0.ckpt")])
+    code, lines, err = run_cli(argv + ["--config", str(path)])
+    assert (code, lines) == (1, [])
+    assert len(err) == 1 and err[0].startswith(f"error: data: {message}")
+
+
+def test_eval_applies_seed_and_folds_to_the_archived_config(base_out):
+    out, path = base_out
+    ckpt = str(out / "fold1.ckpt")
+    archived = run_cli(["eval", "--ckpt", ckpt, "--folds", "1"])
+    given = run_cli(["eval", "--ckpt", ckpt, "--config", str(path),
+                     "--folds", "1"])
+    assert archived == given
+    code, lines, err = archived
+    assert (code, lines) == (1, [])
+    assert len(err) == 1
+    assert err[0].startswith("error: config: checkpoint holds fold 1,")
+    assert run_cli(["eval", "--ckpt", ckpt, "--folds", "0"]) == (
+        1, [], ["error: data: folds must be at least 1"])
+    code, _, err = run_cli(["eval", "--ckpt", ckpt, "--folds", "12"])
+    assert (code, err) == (1, ["error: data: cannot cut 8 samples into 12 folds"])
+    # the trainer seed plays no part in re-evaluation: every best still matches
+    code, lines, err = run_cli(["eval", "--ckpt", ckpt, "--seed", "5"])
+    assert (code, err) == (0, [])
+    assert lines and all(line.endswith(", match") for line in lines)
+
+
+def test_eval_decodes_its_archive_once(base_out, monkeypatch):
+    out, _ = base_out
+    calls = []
+    load = ckpt_mod.load
+
+    def counting_load(path):
+        calls.append(path)
+        return load(path)
+
+    monkeypatch.setattr(ckpt_mod, "load", counting_load)
+    code, _, err = run_cli(["eval", "--ckpt", str(out / "fold0.ckpt")])
+    assert (code, err) == (0, [])
+    assert len(calls) == 1
+    calls.clear()
+    assert cmd_eval(str(out / "fold0.ckpt"), stream=io.StringIO()) == 0
+    assert len(calls) == 1

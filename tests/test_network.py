@@ -1,4 +1,7 @@
 """Network assembly: conv equivalence, parameter math, batching, init."""
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -229,3 +232,47 @@ def test_tie_margins_are_computed_only_for_gradcheck(lib, monkeypatch):
     with pytest.raises(AssertionError, match="outside gradcheck"):
         check_operator_set_gradients(lib, median_lincut, attempts=1)
     assert calls
+
+
+@pytest.fixture()
+def tapes(monkeypatch):
+    """Weak references to every Tape created, with the cyclic collector
+    off: a tape still alive afterwards is held by a reference cycle (or a
+    live owner), not freed by reference counting."""
+    created = []
+    init = autograd_mod.Tape.__init__
+
+    def tracking_init(self):
+        init(self)
+        created.append(weakref.ref(self))
+
+    monkeypatch.setattr(autograd_mod.Tape, "__init__", tracking_init)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield created
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def alive(refs):
+    return sum(ref() is not None for ref in refs)
+
+
+def test_no_tape_outlives_its_pass(lib, tapes):
+    median_lincut = lib.set_by_names("cubic", "median", "lincut").index
+    net = build_network(1, [2, 1], [3, 3], [[median_lincut, conv_index(lib)],
+                                            [2]],
+                        [2, -2], library=lib)
+    net.reset_parameters(seed=0, bound=0.5)
+    rng = np.random.default_rng(0)
+    network_forward(net, Tensor(rng.uniform(-1, 1, (2, 1, 8, 8))))
+    assert tapes == []  # the untaped forward creates none
+    data = make_synthetic_task("identity", count=4, size=8, seed=0)
+    split = partition(data, folds=1, val_fraction=0.25, seed=0)[0]
+    cfg = TrainerConfig(num_epochs=1, optimizer="sgd", lr=0.01, batch_size=4)
+    Trainer(net, split, cfg).train()
+    assert len(tapes) == 1 and alive(tapes) == 0
+    check_operator_set_gradients(lib, median_lincut, attempts=1)
+    assert len(tapes) > 1 and alive(tapes) == 0
