@@ -105,6 +105,13 @@ class Tape:
             self._watched[id(param)] = var
         return var
 
+    def release(self) -> None:
+        """Drop the nodes and the watched variables (which hold the tape);
+        recording on a released tape raises DetachedRoot."""
+        self._released = True
+        self.nodes.clear()
+        self._watched.clear()
+
     def selection_signature(self) -> list[Array]:
         """Winner indices of every selection node, in recording order."""
         return [n.selection for n in self.nodes if n.selection is not None]
@@ -497,9 +504,7 @@ def backward(root: Variable) -> dict[int, Tensor]:
                     )
                 grads[pid] = grads[pid] + pg if pid in grads else pg
     finally:
-        tape._released = True
-        tape.nodes.clear()
-        tape._watched.clear()
+        tape.release()
     return leaves
 
 

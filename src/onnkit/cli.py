@@ -8,6 +8,10 @@ Configuration is INI-like text with three sections:
               eps, lr_decay, batch_size, seed, model_name, metrics
   [data]      task, path, count, size, channels, folds, val_fraction, seed
 
+The keys are the fields of NetworkConfig, TrainerConfig and DataConfig
+(plus metrics): a missing key takes its field's default, and one whose
+field has none is required. No sampling_factors means 1 for every tier.
+
 Lists are comma-separated. The operators key separates tiers with '/';
 each tier holds either one operator set index (shared by all its blocks)
 or one index per block, e.g. "operators = 4 / 0,13 / 3". Comments are
@@ -27,12 +31,14 @@ Errors print one line to stderr: "error: <domain>: <message>".
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -58,12 +64,13 @@ from .trainer import (
 )
 
 
-@dataclass
+@dataclass(kw_only=True)
 class NetworkConfig:
     in_channels: int = 1
-    tier_sizes: list[int] = field(default_factory=list)
-    kernel_sizes: list[int] = field(default_factory=list)
-    operators: list[list[int]] = field(default_factory=list)
+    tier_sizes: list[int]
+    kernel_sizes: list[int]
+    operators: list[list[int]]
+    # empty: 1 for every tier
     sampling_factors: list[int] = field(default_factory=list)
     k_sin: float = float(np.pi)
     k_chirp: float = float(np.pi)
@@ -72,9 +79,9 @@ class NetworkConfig:
     init_bound: float = 0.1
 
 
-@dataclass
+@dataclass(kw_only=True)
 class DataConfig:
-    task: str = "identity"
+    task: str
     path: str | None = None
     count: int = 64
     size: int = 16
@@ -94,6 +101,8 @@ class FullConfig:
 
 # --- raw INI-like parsing, tracking line numbers ---
 
+_SECTIONS = ("network", "trainer", "data")
+
 @dataclass(frozen=True)
 class _Raw:
     value: str
@@ -111,7 +120,7 @@ def _parse_sections(text: str) -> dict[str, dict[str, _Raw]]:
             current = line[1:-1].strip()
             if not current:
                 raise ParseError(f"config: line {lineno}: empty section name")
-            if current not in ("network", "trainer", "data"):
+            if current not in _SECTIONS:
                 raise ValidationError(
                     f"config: line {lineno}: unknown section [{current}]")
             sections.setdefault(current, {})
@@ -141,12 +150,20 @@ def _parse_sections(text: str) -> dict[str, dict[str, _Raw]]:
     return sections
 
 
-class _Section:
-    """Typed access to one section's raw values, with line-tagged errors."""
+# resolving the string annotations is slow, and a schema's never change
+_type_hints = functools.cache(get_type_hints)
 
-    def __init__(self, name: str, raw: dict[str, _Raw]):
+
+class _Section:
+    """Typed access to one section's raw values, with line-tagged errors;
+    the schema dataclass's fields give each key's type and default."""
+
+    def __init__(self, name: str, raw: dict[str, _Raw], schema):
         self.name = name
         self.raw = raw
+        self.schema = schema
+        self.fields = {f.name: f for f in fields(schema)}
+        self.kinds = _type_hints(schema)
         self.seen: set[str] = set()
 
     def fail(self, key: str, message: str):
@@ -167,30 +184,46 @@ class _Section:
         except ValueError:
             self.fail(key, f"must be a {kind.__name__}, got {text!r}")
 
-    def get(self, key: str, kind=str, default=None, required=False):
+    def text(self, key: str) -> str | None:
+        """The key's raw value, None when it is absent and may be."""
         self.seen.add(key)
         entry = self.raw.get(key)
-        if entry is None:
-            if required:
-                raise ValidationError(f"{self.name}: missing required key {key!r}")
-            return default
-        return self._convert(key, entry.value, kind)
+        f = self.fields.get(key)
+        if (entry is None and f is not None and f.default is MISSING
+                and f.default_factory is MISSING):
+            raise ValidationError(f"{self.name}: missing required key {key!r}")
+        return None if entry is None else entry.value
 
-    def get_list(self, key: str, kind=int, default=None, required=False):
-        self.seen.add(key)
-        entry = self.raw.get(key)
-        if entry is None:
-            if required:
-                raise ValidationError(f"{self.name}: missing required key {key!r}")
-            return default
-        items = [t.strip() for t in entry.value.split(",") if t.strip()]
+    def items(self, key: str) -> list[str]:
+        """The key's comma-separated items, none when it is absent."""
+        text = self.text(key)
+        if text is None:
+            return []
+        items = [t.strip() for t in text.split(",") if t.strip()]
         if not items:
             self.fail(key, "must hold at least one value")
-        return [self._convert(key, t, kind) for t in items]
+        return items
 
-    def line(self, key: str) -> int | None:
-        entry = self.raw.get(key)
-        return entry.line if entry else None
+    def get(self, key: str):
+        """The key's value converted to its field's type, or its default."""
+        kind = self.kinds[key]
+        if get_origin(kind) is list:
+            items = self.items(key)
+            if items:
+                (item_kind,) = get_args(kind)
+                return [self._convert(key, t, item_kind) for t in items]
+        else:
+            text = self.text(key)
+            if text is not None:
+                return self._convert(key, text, kind)
+        f = self.fields[key]
+        return f.default if f.default_factory is MISSING else f.default_factory()
+
+    def build(self, **checked):
+        """The schema instance of the checked values, reading every other
+        key in field order."""
+        rest = {k: self.get(k) for k in self.fields if k not in checked}
+        return self.schema(**checked, **rest)
 
     def check_unknown(self):
         for key, entry in self.raw.items():
@@ -202,11 +235,7 @@ class _Section:
 
 def _parse_operators(section: _Section, key: str,
                      tier_sizes: list[int], library_size: int) -> list[list[int]]:
-    section.seen.add(key)
-    entry = section.raw.get(key)
-    if entry is None:
-        raise ValidationError(f"{section.name}: missing required key {key!r}")
-    tiers = [t.strip() for t in entry.value.split("/")]
+    tiers = [t.strip() for t in section.text(key).split("/")]
     if len(tiers) != len(tier_sizes):
         section.fail(key, f"names {len(tiers)} tiers, network has {len(tier_sizes)}")
     result = []
@@ -241,14 +270,14 @@ def parse_config(text: str,
     if "network" not in sections:
         raise ValidationError("network: missing section [network]")
 
-    net_s = _Section("network", sections.get("network", {}))
-    in_channels = net_s.get("in_channels", int, 1)
+    net_s = _Section("network", sections["network"], NetworkConfig)
+    in_channels = net_s.get("in_channels")
     if in_channels < 1:
         net_s.fail("in_channels", "must be at least 1")
-    tier_sizes = net_s.get_list("tier_sizes", int, required=True)
+    tier_sizes = net_s.get("tier_sizes")
     if any(s < 1 for s in tier_sizes):
         net_s.fail("tier_sizes", "entries must be at least 1")
-    kernel_sizes = net_s.get_list("kernel_sizes", int, required=True)
+    kernel_sizes = net_s.get("kernel_sizes")
     if len(kernel_sizes) != len(tier_sizes):
         net_s.fail("kernel_sizes",
                    f"has {len(kernel_sizes)} entries, tier_sizes has {len(tier_sizes)}")
@@ -256,58 +285,31 @@ def parse_config(text: str,
         if k < 1 or k % 2 == 0:
             net_s.fail("kernel_sizes", f"entries must be odd and positive, got {k}")
     operators = _parse_operators(net_s, "operators", tier_sizes, len(lib))
-    sampling = net_s.get_list("sampling_factors", int,
-                              default=[1] * len(tier_sizes))
+    sampling = net_s.get("sampling_factors") or [1] * len(tier_sizes)
     if len(sampling) != len(tier_sizes):
         net_s.fail("sampling_factors",
                    f"has {len(sampling)} entries, tier_sizes has {len(tier_sizes)}")
     if any(s == 0 for s in sampling):
         net_s.fail("sampling_factors", "entries must be nonzero")
-    init = net_s.get("init", str, "uniform")
+    init = net_s.get("init")
     if init not in ("uniform", "fan_in"):
         net_s.fail("init", f"must be 'uniform' or 'fan_in', got {init!r}")
-    network = NetworkConfig(
-        in_channels=in_channels,
-        tier_sizes=tier_sizes,
-        kernel_sizes=kernel_sizes,
-        operators=operators,
-        sampling_factors=sampling,
-        k_sin=net_s.get("k_sin", float, float(np.pi)),
-        k_chirp=net_s.get("k_chirp", float, float(np.pi)),
-        cut=net_s.get("cut", float, 10.0),
-        init=init,
-        init_bound=net_s.get("init_bound", float, 0.1),
-    )
+    network = net_s.build(in_channels=in_channels, tier_sizes=tier_sizes,
+                          kernel_sizes=kernel_sizes, operators=operators,
+                          sampling_factors=sampling, init=init)
     if network.cut == 0:
         net_s.fail("cut", "must be nonzero")
     net_s.check_unknown()
 
-    tr_s = _Section("trainer", sections.get("trainer", {}))
-    trainer = TrainerConfig(
-        num_epochs=tr_s.get("num_epochs", int, required=True),
-        num_runs=tr_s.get("num_runs", int, 1),
-        optimizer=tr_s.get("optimizer", str, "adam"),
-        lr=tr_s.get("lr", float, 0.001),
-        momentum=tr_s.get("momentum", float, 0.9),
-        beta1=tr_s.get("beta1", float, 0.9),
-        beta2=tr_s.get("beta2", float, 0.999),
-        eps=tr_s.get("eps", float, 1e-8),
-        lr_decay=tr_s.get("lr_decay", float, 1.0),
-        batch_size=tr_s.get("batch_size", int, 8),
-        seed=tr_s.get("seed", int, 0),
-        model_name=tr_s.get("model_name", str, "model"),
-    )
-    if trainer.num_epochs < 1:
-        tr_s.fail("num_epochs", "must be at least 1")
-    if trainer.num_runs < 1:
-        tr_s.fail("num_runs", "must be at least 1")
-    if trainer.batch_size < 1:
-        tr_s.fail("batch_size", "must be at least 1")
+    tr_s = _Section("trainer", sections.get("trainer", {}), TrainerConfig)
+    trainer = tr_s.build()
+    for key in ("num_epochs", "num_runs", "batch_size"):
+        if getattr(trainer, key) < 1:
+            tr_s.fail(key, "must be at least 1")
     if trainer.lr <= 0:
         tr_s.fail("lr", "must be positive")
-    metric_items = tr_s.get_list("metrics", str, default=[])
     metrics: list[tuple[str, str]] = []
-    for item in metric_items:
+    for item in tr_s.items("metrics"):
         name, _, crit = item.partition(":")
         name = name.strip()
         crit = crit.strip()
@@ -324,31 +326,17 @@ def parse_config(text: str,
         metrics.append((name, crit))
     tr_s.check_unknown()
 
-    da_s = _Section("data", sections.get("data", {}))
-    task = da_s.get("task", str, required=True)
+    da_s = _Section("data", sections.get("data", {}), DataConfig)
+    task = da_s.get("task")
     known_tasks = dataio.SYNTHETIC_TASKS + ("folder",)
     if task not in known_tasks:
         da_s.fail("task", f"must be one of {', '.join(known_tasks)}")
-    data = DataConfig(
-        task=task,
-        path=da_s.get("path", str, None),
-        count=da_s.get("count", int, 64),
-        size=da_s.get("size", int, 16),
-        channels=da_s.get("channels", int, 1),
-        folds=da_s.get("folds", int, 1),
-        val_fraction=da_s.get("val_fraction", float, 0.0),
-        seed=da_s.get("seed", int, 0),
-    )
+    data = da_s.build(task=task)
     if task == "folder" and not data.path:
         da_s.fail("path", "is required when task = folder")
-    if data.count < 1:
-        da_s.fail("count", "must be at least 1")
-    if data.size < 1:
-        da_s.fail("size", "must be at least 1")
-    if data.channels < 1:
-        da_s.fail("channels", "must be at least 1")
-    if data.folds < 1:
-        da_s.fail("folds", "must be at least 1")
+    for key in ("count", "size", "channels", "folds"):
+        if getattr(data, key) < 1:
+            da_s.fail(key, "must be at least 1")
     if not 0.0 <= data.val_fraction < 1.0:
         da_s.fail("val_fraction", "must be in [0, 1)")
     da_s.check_unknown()
@@ -359,59 +347,24 @@ def parse_config(text: str,
     return FullConfig(network=network, trainer=trainer, data=data, metrics=metrics)
 
 
-def _fmt_operators(operators: list[list[int]]) -> str:
-    return " / ".join(",".join(str(i) for i in tier) for tier in operators)
-
-
 def format_config(cfg: FullConfig) -> str:
     """Render a configuration as canonical text; parse() round-trips it."""
-    n, t, d = cfg.network, cfg.trainer, cfg.data
-    lines = [
-        "[network]",
-        f"in_channels = {n.in_channels}",
-        f"tier_sizes = {', '.join(map(str, n.tier_sizes))}",
-        f"kernel_sizes = {', '.join(map(str, n.kernel_sizes))}",
-        f"operators = {_fmt_operators(n.operators)}",
-        f"sampling_factors = {', '.join(map(str, n.sampling_factors))}",
-        f"k_sin = {n.k_sin!r}",
-        f"k_chirp = {n.k_chirp!r}",
-        f"cut = {n.cut!r}",
-        f"init = {n.init}",
-        f"init_bound = {n.init_bound!r}",
-        "",
-        "[trainer]",
-        f"num_epochs = {t.num_epochs}",
-        f"num_runs = {t.num_runs}",
-        f"optimizer = {t.optimizer}",
-        f"lr = {t.lr!r}",
-        f"momentum = {t.momentum!r}",
-        f"beta1 = {t.beta1!r}",
-        f"beta2 = {t.beta2!r}",
-        f"eps = {t.eps!r}",
-        f"lr_decay = {t.lr_decay!r}",
-        f"batch_size = {t.batch_size}",
-        f"seed = {t.seed}",
-        f"model_name = {t.model_name}",
-    ]
-    if cfg.metrics:
-        lines.append(
-            "metrics = " + ", ".join(f"{n_}:{c}" for n_, c in cfg.metrics))
-    lines += [
-        "",
-        "[data]",
-        f"task = {d.task}",
-    ]
-    if d.path is not None:
-        lines.append(f"path = {d.path}")
-    lines += [
-        f"count = {d.count}",
-        f"size = {d.size}",
-        f"channels = {d.channels}",
-        f"folds = {d.folds}",
-        f"val_fraction = {d.val_fraction!r}",
-        f"seed = {d.seed}",
-        "",
-    ]
+    lines = []
+    for name in _SECTIONS:
+        section = getattr(cfg, name)
+        lines.append(f"[{name}]")
+        for f in fields(section):
+            value = getattr(section, f.name)
+            if f.name == "operators":
+                value = " / ".join(",".join(map(str, tier)) for tier in value)
+            elif isinstance(value, list):
+                value = ", ".join(map(str, value))
+            if value is not None:
+                lines.append(f"{f.name} = {value}")
+        if name == "trainer" and cfg.metrics:
+            lines.append(
+                "metrics = " + ", ".join(f"{m}:{c}" for m, c in cfg.metrics))
+        lines.append("")
     return "\n".join(lines)
 
 

@@ -168,7 +168,7 @@ class OpNetwork:
             flow.append(spatial)
         return flow
 
-    def reset_parameters(self, seed: int, bound: float | None = None) -> None:
+    def reset_parameters(self, seed: int) -> None:
         """Draw weights uniformly and zero the biases, deterministically.
 
         With init ("uniform", b) weights are drawn from U(-b, b); with
@@ -178,12 +178,7 @@ class OpNetwork:
         kind, base = self.init
         for tier in self.tiers:
             c, (m, n) = tier.in_channels, tier.kernel
-            if bound is not None:
-                b = bound
-            elif kind == "fan_in":
-                b = 1.0 / np.sqrt(c * m * n)
-            else:
-                b = base
+            b = 1.0 / np.sqrt(c * m * n) if kind == "fan_in" else base
             for blk in tier.blocks:
                 blk.weights.assign(Tensor._wrap(
                     rng.uniform(-b, b, size=(c, m, n))))
@@ -218,22 +213,29 @@ def network_forward(net: OpNetwork, batch, tape: Tape | None = None):
     return stacked
 
 
+# check_operator_set_gradients' probe: square image and kernel extents,
+# central-difference step, relative tolerance and tie margin
+GRADCHECK_SIZE = 6
+GRADCHECK_KERNEL = 3
+GRADCHECK_TOL = 1e-4
+GRADCHECK_H = 1e-6
+GRADCHECK_MARGIN = 1e-4
+
+
 def check_operator_set_gradients(library: OperatorSetLibrary, index: int, *,
-                                 seed: int = 0, size: int = 6,
-                                 in_channels: int = 1, kernel: int = 3,
-                                 tol: float = 1e-4, h: float = 1e-6,
-                                 margin: float = 1e-4,
+                                 seed: int = 0, in_channels: int = 1,
                                  attempts: int = 5) -> ag.GradcheckReport:
     """Finite-difference check of one operator set in a one-block network.
 
     The scalar target is the summed block output; gradients are checked
     for the input image, the weights and the bias. Draws whose selection
-    operations sit within `margin` of a tie, or whose probes flip a
-    winner, are redrawn up to `attempts` times.
+    operations sit within GRADCHECK_MARGIN of a tie, or whose probes flip
+    a winner, are redrawn up to `attempts` times.
     """
     opset = library.decode(index)
     constants = DEFAULT_CONSTANTS
     rng = np.random.Generator(np.random.PCG64(seed))
+    size, kernel = GRADCHECK_SIZE, GRADCHECK_KERNEL
     plan = patchops.get_plan(size, size, kernel, kernel)
 
     def f(xv, wv, bv):
@@ -246,8 +248,8 @@ def check_operator_set_gradients(library: OperatorSetLibrary, index: int, *,
         x = Tensor._wrap(rng.uniform(-0.5, 0.5, (in_channels, size, size)))
         w = Tensor._wrap(rng.uniform(-0.5, 0.5, (in_channels, kernel, kernel)))
         b = Tensor(rng.uniform(-0.1, 0.1))
-        report = ag.gradcheck(f, [x, w, b], h=h, tol=tol)
-        if report.clean(margin):
+        report = ag.gradcheck(f, [x, w, b], h=GRADCHECK_H, tol=GRADCHECK_TOL)
+        if report.clean(GRADCHECK_MARGIN):
             return report
     return report
 

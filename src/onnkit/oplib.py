@@ -6,6 +6,10 @@ A neuron applies three stages to its unfolded input patches:
   pool        reduction over the trailing patch axis, times a constant
   activation  pointwise, with the neuron bias folded in as f(x - b)
 
+Every stage function, of whichever kind, is one Operator(name, fn): fn
+takes the stage's inputs and then an OperatorConstants. KINDS names the
+three kinds in enumeration order.
+
 Built-in operators:
 
   nodal       mul w*y | cubic w*y^3 | sine sin(k_sin*w*y)
@@ -21,6 +25,7 @@ new combinations after all existing indices, which stay valid.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -45,30 +50,24 @@ DEFAULT_CONSTANTS = OperatorConstants()
 
 
 @dataclass(frozen=True)
-class NodalOp:
+class Operator:
+    """One named stage function of any kind; the constants come last."""
+
     name: str
-    fn: Callable[[Variable, Variable, OperatorConstants], Variable]
+    fn: Callable[..., Variable]
 
 
-@dataclass(frozen=True)
-class PoolOp:
-    name: str
-    fn: Callable[[Variable, OperatorConstants], Variable]
-
-
-@dataclass(frozen=True)
-class ActivationOp:
-    name: str
-    fn: Callable[[Variable, Variable, OperatorConstants], Variable]
+# the stages of an operator set, in enumeration order (nodal-major)
+KINDS = ("nodal", "pool", "activation")
 
 
 @dataclass(frozen=True)
 class OperatorSet:
     """One (nodal, pool, activation) triple plus its enumeration index."""
 
-    nodal: NodalOp
-    pool: PoolOp
-    activation: ActivationOp
+    nodal: Operator
+    pool: Operator
+    activation: Operator
     index: int
 
     @property
@@ -133,24 +132,24 @@ def _act_identity(x, b, c):
 
 
 BUILTIN_NODAL = (
-    NodalOp("mul", _nodal_mul),
-    NodalOp("cubic", _nodal_cubic),
-    NodalOp("sine", _nodal_sine),
-    NodalOp("exp", _nodal_exp),
-    NodalOp("sinh", _nodal_sinh),
-    NodalOp("chirp", _nodal_chirp),
+    Operator("mul", _nodal_mul),
+    Operator("cubic", _nodal_cubic),
+    Operator("sine", _nodal_sine),
+    Operator("exp", _nodal_exp),
+    Operator("sinh", _nodal_sinh),
+    Operator("chirp", _nodal_chirp),
 )
 
 BUILTIN_POOL = (
-    PoolOp("sum", _pool_sum),
-    PoolOp("median", _pool_median),
-    PoolOp("max", _pool_max),
+    Operator("sum", _pool_sum),
+    Operator("median", _pool_median),
+    Operator("max", _pool_max),
 )
 
 BUILTIN_ACTIVATION = (
-    ActivationOp("tanh", _act_tanh),
-    ActivationOp("lincut", _act_lincut),
-    ActivationOp("identity", _act_identity),
+    Operator("tanh", _act_tanh),
+    Operator("lincut", _act_lincut),
+    Operator("identity", _act_identity),
 )
 
 
@@ -165,19 +164,21 @@ class OperatorSetLibrary:
 
     def __init__(self, nodal=BUILTIN_NODAL, pool=BUILTIN_POOL,
                  activation=BUILTIN_ACTIVATION):
-        self.nodal: list[NodalOp] = list(nodal)
-        self.pool: list[PoolOp] = list(pool)
-        self.activation: list[ActivationOp] = list(activation)
+        self.nodal: list[Operator] = list(nodal)
+        self.pool: list[Operator] = list(pool)
+        self.activation: list[Operator] = list(activation)
         self._triples: list[tuple[int, int, int]] = []
         self._index_of: dict[tuple[int, int, int], int] = {}
-        for ni in range(len(self.nodal)):
-            for pi in range(len(self.pool)):
-                for ai in range(len(self.activation)):
-                    self._add_triple((ni, pi, ai))
+        self._add_triples({})
 
-    def _add_triple(self, triple: tuple[int, int, int]) -> None:
-        self._index_of[triple] = len(self._triples)
-        self._triples.append(triple)
+    def _add_triples(self, fixed: dict[str, int]) -> None:
+        """Number every triple whose kinds in `fixed` take the given
+        operator index, in nodal-major order."""
+        ranges = [[fixed[k]] if k in fixed else range(len(getattr(self, k)))
+                  for k in KINDS]
+        for triple in itertools.product(*ranges):
+            self._index_of[triple] = len(self._triples)
+            self._triples.append(triple)
 
     def __len__(self) -> int:
         return len(self._triples)
@@ -204,10 +205,6 @@ class OperatorSetLibrary:
             self._find(self.activation, activation),
         ))
 
-    def describe(self, index: int) -> str:
-        s = self.decode(index)
-        return f"{index}: ({s.nodal.name}, {s.pool.name}, {s.activation.name})"
-
 
 def register_builtin_library() -> OperatorSetLibrary:
     """A fresh library holding exactly the built-in operators."""
@@ -222,20 +219,20 @@ def _check_finite(var: Variable, what: str) -> Variable:
     return var
 
 
-def evaluate_nodal(op: NodalOp, w, y,
+def evaluate_nodal(op: Operator, w, y,
                    constants: OperatorConstants = DEFAULT_CONSTANTS) -> Variable:
     w, y = ag.as_variable(w), ag.as_variable(y)
     ag.broadcast_shape(w.shape, y.shape)
     return _check_finite(op.fn(w, y, constants), f"nodal operator {op.name!r}")
 
 
-def evaluate_pool(op: PoolOp, z,
+def evaluate_pool(op: Operator, z,
                   constants: OperatorConstants = DEFAULT_CONSTANTS) -> Variable:
     z = ag.as_variable(z)
     return _check_finite(op.fn(z, constants), f"pool operator {op.name!r}")
 
 
-def evaluate_activation(op: ActivationOp, x, b,
+def evaluate_activation(op: Operator, x, b,
                         constants: OperatorConstants = DEFAULT_CONSTANTS) -> Variable:
     x, b = ag.as_variable(x), ag.as_variable(b)
     ag.broadcast_shape(x.shape, b.shape)
@@ -258,21 +255,18 @@ def _probe_pool(fn: Callable[[Variable, OperatorConstants], Variable]) -> None:
         )
 
 
-def _wrap_custom(kind: str, forward, backward):
+def _wrap_custom(forward, backward):
     """Build the stage function for a custom operator.
 
     With a hand-written backward rule the operation is recorded through
-    that rule; otherwise forward must be written in terms of the
-    differentiable primitives and is used directly.
+    that rule, on every argument but the trailing constants; otherwise
+    forward must be written in terms of the differentiable primitives and
+    is used directly.
     """
     if backward is None:
         return forward
     rule = CustomBackward(forward=forward, backward=backward)
-    if kind == "nodal":
-        return lambda w, y, c: apply_custom(rule, w, y)
-    if kind == "pool":
-        return lambda z, c: apply_custom(rule, z)
-    return lambda x, b, c: apply_custom(rule, x, b)
+    return lambda *args: apply_custom(rule, *args[:-1])
 
 
 def add_custom_operator(lib: OperatorSetLibrary, kind: str, name: str, forward,
@@ -283,30 +277,14 @@ def add_custom_operator(lib: OperatorSetLibrary, kind: str, name: str, forward,
     tracked variables plus an OperatorConstants (or, when a backward rule
     is supplied, raw arrays). Returns the same library, updated.
     """
-    if kind not in ("nodal", "pool", "activation"):
+    if kind not in KINDS:
         raise ValueError(f"unknown operator kind {kind!r}")
-    ops = {"nodal": lib.nodal, "pool": lib.pool, "activation": lib.activation}[kind]
+    ops = getattr(lib, kind)
     if any(op.name == name for op in ops):
         raise DuplicateName(f"{kind} operator {name!r} already registered")
-    fn = _wrap_custom(kind, forward, backward)
+    fn = _wrap_custom(forward, backward)
     if kind == "pool":
         _probe_pool(fn)
-    if kind == "nodal":
-        lib.nodal.append(NodalOp(name, fn))
-        ni = len(lib.nodal) - 1
-        for pi in range(len(lib.pool)):
-            for ai in range(len(lib.activation)):
-                lib._add_triple((ni, pi, ai))
-    elif kind == "pool":
-        lib.pool.append(PoolOp(name, fn))
-        pi = len(lib.pool) - 1
-        for ni in range(len(lib.nodal)):
-            for ai in range(len(lib.activation)):
-                lib._add_triple((ni, pi, ai))
-    else:
-        lib.activation.append(ActivationOp(name, fn))
-        ai = len(lib.activation) - 1
-        for ni in range(len(lib.nodal)):
-            for pi in range(len(lib.pool)):
-                lib._add_triple((ni, pi, ai))
+    ops.append(Operator(name, fn))
+    lib._add_triples({kind: len(ops) - 1})
     return lib

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyAxis, ShapeMismatch, SizeMismatch
+from .errors import EmptyAxis, ShapeMismatch
 
 Shape = tuple[int, ...]
 
@@ -68,11 +68,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self._data.size
-
-    def item(self) -> float:
-        if self._data.size != 1:
-            raise SizeMismatch(f"item() needs exactly one element, have {self._data.size}")
-        return float(self._data.reshape(()))
 
     def tolist(self):
         return self._data.tolist()

@@ -245,17 +245,20 @@ class Trainer:
             idx = order[lo:lo + batch]
             x, t = _stack_pairs(train, idx)
             tape = Tape()
-            pred = network_forward(self.net, x, tape)
-            diff = ag.sub(pred, ag.as_variable(t))
-            loss = ag.mul(ag.sum_all(ag.pow_const(diff, 2)), 1.0 / t.size)
-            last_loss = float(loss.value)
-            if not math.isfinite(last_loss):
-                raise NonFiniteLoss(
-                    f"loss became {last_loss} in run {self._run} "
-                    f"epoch {self._epoch}"
-                )
-            leaves = {p.name: tape.watch(p).node for p in params}
-            grads = ag.backward(loss)
+            try:
+                pred = network_forward(self.net, x, tape)
+                diff = ag.sub(pred, ag.as_variable(t))
+                loss = ag.mul(ag.sum_all(ag.pow_const(diff, 2)), 1.0 / t.size)
+                last_loss = float(loss.value)
+                if not math.isfinite(last_loss):
+                    raise NonFiniteLoss(
+                        f"loss became {last_loss} in run {self._run} "
+                        f"epoch {self._epoch}"
+                    )
+                leaves = {p.name: tape.watch(p).node for p in params}
+                grads = ag.backward(loss)
+            finally:  # also when the forward diverges before backward
+                tape.release()
             self.optimizer.step(params, {name: grads[nid]
                                          for name, nid in leaves.items()})
         if self.cfg.lr_decay != 1.0:

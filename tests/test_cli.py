@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import onnkit.checkpoint as ckpt_mod
+import onnkit.cli as cli_mod
 from onnkit.cli import (
     DataConfig,
     FullConfig,
@@ -215,6 +216,18 @@ def full_configs(draw):
 @given(full_configs())
 def test_parse_inverts_format_on_every_valid_config(cfg):
     assert parse_config(format_config(cfg)) == cfg
+
+
+def test_module_docstring_lists_the_config_dataclass_fields():
+    block = cli_mod.__doc__.split("three sections:\n\n")[1].split("\n\n")[0]
+    listed = {name: [k.strip() for k in keys.split(",")]
+              for name, keys in re.findall(r"\[(\w+)\]\s+([^\[]*)", block)}
+    assert listed == {
+        "network": [f.name for f in dataclasses.fields(NetworkConfig)],
+        "trainer": [f.name for f in dataclasses.fields(TrainerConfig)]
+        + ["metrics"],
+        "data": [f.name for f in dataclasses.fields(DataConfig)],
+    }
 
 
 DESCRIBE = """\

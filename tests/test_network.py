@@ -9,7 +9,7 @@ import onnkit.autograd as autograd_mod
 import onnkit.network as network_mod
 from onnkit.autograd import Tape
 from onnkit.dataio import make_synthetic_task, partition
-from onnkit.errors import IndivisibleExtent, ShapeMismatch
+from onnkit.errors import IndivisibleExtent, NonFiniteLoss, ShapeMismatch
 from onnkit.network import (
     OpNetwork,
     build_network,
@@ -211,8 +211,8 @@ def test_tie_margins_are_computed_only_for_gradcheck(lib, monkeypatch):
     max_tanh = lib.set_by_names("sine", "max", "tanh").index
     net = build_network(1, [2, 1], [3, 3], [[median_lincut, max_tanh],
                                             [conv_index(lib)]],
-                        [2, -2], library=lib)
-    net.reset_parameters(seed=0, bound=0.5)
+                        [2, -2], library=lib, init=("uniform", 0.5))
+    net.reset_parameters(0)
     calls = []
 
     def forbidden(*args):
@@ -264,8 +264,8 @@ def test_no_tape_outlives_its_pass(lib, tapes):
     median_lincut = lib.set_by_names("cubic", "median", "lincut").index
     net = build_network(1, [2, 1], [3, 3], [[median_lincut, conv_index(lib)],
                                             [2]],
-                        [2, -2], library=lib)
-    net.reset_parameters(seed=0, bound=0.5)
+                        [2, -2], library=lib, init=("uniform", 0.5))
+    net.reset_parameters(0)
     rng = np.random.default_rng(0)
     network_forward(net, Tensor(rng.uniform(-1, 1, (2, 1, 8, 8))))
     assert tapes == []  # the untaped forward creates none
@@ -275,4 +275,27 @@ def test_no_tape_outlives_its_pass(lib, tapes):
     Trainer(net, split, cfg).train()
     assert len(tapes) == 1 and alive(tapes) == 0
     check_operator_set_gradients(lib, median_lincut, attempts=1)
+    assert len(tapes) > 1 and alive(tapes) == 0
+
+
+@pytest.mark.parametrize("lr,status", [
+    (4.0, "aborted: nodal operator 'exp' produced a non-finite value"),
+    (50.0, "aborted: loss became inf in run 0 epoch 0"),
+])
+def test_a_diverging_step_frees_its_tape(lib, tapes, lr, status):
+    # two exp tiers at a large SGD step, one sample a step: with seed 1 an
+    # update drives the next step's exp (stage check) or loss (loss check)
+    # to overflow, so that step's forward raises before its backward
+    exp_tanh = lib.set_by_names("exp", "sum", "tanh").index
+    exp_identity = lib.set_by_names("exp", "sum", "identity").index
+    net = build_network(1, [2, 1], [3, 3], [[exp_tanh], [exp_identity]],
+                        [1, 1], library=lib)
+    data = make_synthetic_task("blur-inverse", count=8, size=8, seed=0)
+    split = partition(data, folds=1, val_fraction=0.25, seed=0)[0]
+    cfg = TrainerConfig(num_epochs=3, optimizer="sgd", lr=lr, batch_size=1,
+                        seed=1)
+    trainer = Trainer(net, split, cfg)
+    with pytest.raises(NonFiniteLoss, match="every run diverged"):
+        trainer.train()
+    assert trainer.record.run_status == [status]
     assert len(tapes) > 1 and alive(tapes) == 0
