@@ -12,17 +12,18 @@ A tape lives for one backward: backward returns every leaf's gradient and
 releases the tape, after which using it raises DetachedRoot. Ops on
 untracked inputs record nothing, and grad closures hold no Variables.
 
-Selection-style operations (max, median, downsampling by max) remember
-which element won. Those indices drive the backward scatter, and they also
-feed the finite-difference checker: if a perturbed evaluation selects a
-different winner the probe sits on a kink and is reported as a tie rather
-than a failure. How close each winner sits to a tie (its margin) is only
-computed on the nominal tape of gradcheck, the one reader of it.
+Selection-style operations (max, median, clamp, downsampling by max) hand
+their winners, and a thunk for how close those sit to a tie (the margin),
+to the selection log that only gradcheck installs; tapes hold only what
+backward needs. gradcheck computes the margins of its nominal pass and runs
+its probes on constants: a probe that picks other winners than the nominal
+pass sits on a kink, and counts as a tie rather than a failure.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from contextvars import ContextVar
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,6 +39,10 @@ from .tensor import Shape, Tensor, _normalize_axis, _reduce_raw
 
 Array = np.ndarray
 GradFn = Callable[[Array], Sequence[Array | None]]
+
+# (winners, tie-margin thunk) of every selection op evaluated inside
+# gradcheck, whether or not its inputs are tracked; None everywhere else
+_selections: ContextVar[list | None] = ContextVar("selections", default=None)
 
 
 class Parameter:
@@ -68,8 +73,6 @@ class Node:
     parents: tuple[int | None, ...]
     shape: Shape
     grad_fn: GradFn | None
-    selection: Array | None = None
-    tie_margin: float = math.inf
 
 
 class Tape:
@@ -77,9 +80,6 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[Node] = []
-        # gradcheck sets this on its nominal tape; elsewhere tie margins
-        # are never computed
-        self._margins = False
         self._watched: dict[int, Variable] = {}
         self._released = False
 
@@ -111,22 +111,6 @@ class Tape:
         self._released = True
         self.nodes.clear()
         self._watched.clear()
-
-    def selection_signature(self) -> list[Array]:
-        """Winner indices of every selection node, in recording order."""
-        return [n.selection for n in self.nodes if n.selection is not None]
-
-    def min_selection_margin(self) -> float:
-        """Smallest distance between any selection winner and a competitor.
-
-        Only gradcheck's nominal tape records margins; any other tape
-        reports inf.
-        """
-        margin = math.inf
-        for n in self.nodes:
-            if n.selection is not None:
-                margin = min(margin, n.tie_margin)
-        return margin
 
 
 class Variable:
@@ -199,11 +183,14 @@ def record(inputs: Sequence[Variable], out_value: Array, grad_fn: GradFn, *,
            tie_margin: Callable[[], float] | None = None) -> Variable:
     """Append one operation node; constant inputs contribute no node id.
 
-    The output array is marked read-only. tie_margin is called only on a
-    tape that records margins.
+    The output array is marked read-only. A selection op's winners and
+    tie_margin thunk go to gradcheck's selection log, when one is installed.
     """
     out_value = np.asarray(out_value)
     out_value.flags.writeable = False
+    log = None if selection is None else _selections.get()
+    if log is not None:
+        log.append((selection, tie_margin))
     tapes = {v.tape for v in inputs if v.tape is not None}
     if len(tapes) > 1:
         raise RuntimeError("inputs belong to different tapes")
@@ -211,8 +198,7 @@ def record(inputs: Sequence[Variable], out_value: Array, grad_fn: GradFn, *,
         return Variable(out_value, None, None)
     tape = tapes.pop()
     parents = tuple(v.node if v.tape is tape else None for v in inputs)
-    margin = tie_margin() if tape._margins and tie_margin is not None else math.inf
-    nid = tape._append(Node(parents, out_value.shape, grad_fn, selection, margin))
+    nid = tape._append(Node(parents, out_value.shape, grad_fn))
     return Variable(out_value, tape, nid)
 
 
@@ -330,8 +316,7 @@ def clamp(x, low: float, high: float) -> Variable:
     def grad_fn(g: Array):
         return (g * mask,)
 
-    return record((x,), out, grad_fn,
-                  selection=mask.astype(np.int8),
+    return record((x,), out, grad_fn, selection=mask,
                   tie_margin=lambda: _clamp_margin(xd, low, high))
 
 
@@ -518,7 +503,10 @@ class GradcheckReport:
     tol: float
     tie_coords: int = 0
     min_margin: float = math.inf
-    passed: bool = field(default=False)
+
+    @property
+    def passed(self) -> bool:
+        return all(e <= self.tol for e in self.max_rel_err)
 
     def worst(self) -> float:
         finite = [e for e in self.max_rel_err if not math.isnan(e)]
@@ -533,42 +521,46 @@ def _rel_err(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-8)
 
 
+def _with_selections(f: Callable[..., Variable], variables: list[Variable]):
+    """f's output and the selection log of its evaluation."""
+    log: list = []
+    token = _selections.set(log)
+    try:
+        return f(*variables), log
+    finally:
+        _selections.reset(token)
+
+
 def gradcheck(f: Callable[..., Variable], inputs: Sequence[Tensor], *,
               h: float = 1e-6, tol: float = 1e-5) -> GradcheckReport:
     """Check every analytic input gradient of a scalar function against
     central finite differences, coordinate by coordinate.
 
-    A probe whose perturbed evaluations pick different selection winners
-    than the nominal run sits on a kink; it is counted as a tie and
-    skipped, never failed.
+    Only the nominal pass is taped. A probe runs on constants; one whose
+    perturbed evaluations pick different selection winners than the
+    nominal pass sits on a kink, and is counted as a tie and skipped,
+    never failed.
     """
     tape = Tape()
-    tape._margins = True
     variables = [tape.leaf(t) for t in inputs]
     nominal = [v.value for v in variables]
-    root = f(*variables)
+    root, selections = _with_selections(f, variables)
     if root.value.size != 1:
         raise NonScalarRoot("gradcheck target must be scalar")
-    base_value = float(root.value.reshape(()))
-    if not math.isfinite(base_value):
+    if not math.isfinite(float(root.value.reshape(()))):
         raise NonFiniteValue("gradcheck target is not finite")
-    base_signature = tape.selection_signature()
-    min_margin = tape.min_selection_margin()
+    base_winners = [winners for winners, _ in selections]
+    min_margin = min([math.inf] + [m() for _, m in selections if m is not None])
     grads = backward(root)
 
-    def evaluate(arrays: list[Array]) -> tuple[float, list[Array]]:
-        probe_tape = Tape()
-        probe_vars = [probe_tape.leaf(Tensor._wrap(a)) for a in arrays]
-        out = f(*probe_vars)
+    def evaluate(arrays: list[Array]) -> tuple[float, bool]:
+        """f at the arrays, and whether it picked the nominal winners."""
+        out, log = _with_selections(f, [as_variable(Tensor._wrap(a)) for a in arrays])
         val = float(out.value.reshape(()))
         if not math.isfinite(val):
             raise NonFiniteValue("perturbed evaluation is not finite")
-        return val, probe_tape.selection_signature()
-
-    def same_signature(sig: list[Array]) -> bool:
-        if len(sig) != len(base_signature):
-            return False
-        return all(np.array_equal(a, b) for a, b in zip(sig, base_signature))
+        return val, len(log) == len(base_winners) and all(
+            np.array_equal(w, b) for (w, _), b in zip(log, base_winners))
 
     max_errs: list[float] = []
     tie_coords = 0
@@ -580,15 +572,12 @@ def gradcheck(f: Callable[..., Variable], inputs: Sequence[Tensor], *,
             minus = [a.copy() for a in nominal]
             plus[i].reshape(-1)[c] += h
             minus[i].reshape(-1)[c] -= h
-            f_plus, sig_plus = evaluate(plus)
-            f_minus, sig_minus = evaluate(minus)
-            if not (same_signature(sig_plus) and same_signature(sig_minus)):
+            f_plus, same_plus = evaluate(plus)
+            f_minus, same_minus = evaluate(minus)
+            if not (same_plus and same_minus):
                 tie_coords += 1
                 continue
             numeric = (f_plus - f_minus) / (2.0 * h)
             worst = max(worst, _rel_err(float(analytic.reshape(-1)[c]), numeric))
         max_errs.append(worst)
-    report = GradcheckReport(max_rel_err=max_errs, tol=tol, tie_coords=tie_coords,
-                             min_margin=min_margin)
-    report.passed = all(e <= tol for e in max_errs)
-    return report
+    return GradcheckReport(max_errs, tol, tie_coords, min_margin)

@@ -299,13 +299,17 @@ def parse_config(text: str,
                           sampling_factors=sampling, init=init)
     if network.cut == 0:
         net_s.fail("cut", "must be nonzero")
+    # weights are drawn from U(-b, b), whose width 2b must be a finite float
+    if not 0 <= network.init_bound <= sys.float_info.max / 2:
+        net_s.fail("init_bound", f"must be in [0, {sys.float_info.max / 2!r}]")
     net_s.check_unknown()
 
     tr_s = _Section("trainer", sections.get("trainer", {}), TrainerConfig)
     trainer = tr_s.build()
-    for key in ("num_epochs", "num_runs", "batch_size"):
-        if getattr(trainer, key) < 1:
-            tr_s.fail(key, "must be at least 1")
+    for key, least in (("num_epochs", 1), ("num_runs", 1), ("batch_size", 1),
+                       ("seed", 0)):
+        if getattr(trainer, key) < least:
+            tr_s.fail(key, f"must be at least {least}")
     if trainer.lr <= 0:
         tr_s.fail("lr", "must be positive")
     metrics: list[tuple[str, str]] = []
@@ -334,9 +338,10 @@ def parse_config(text: str,
     data = da_s.build(task=task)
     if task == "folder" and not data.path:
         da_s.fail("path", "is required when task = folder")
-    for key in ("count", "size", "channels", "folds"):
-        if getattr(data, key) < 1:
-            da_s.fail(key, "must be at least 1")
+    for key, least in (("count", 1), ("size", 1), ("channels", 1), ("folds", 1),
+                       ("seed", 0)):
+        if getattr(data, key) < least:
+            da_s.fail(key, f"must be at least {least}")
     if not 0.0 <= data.val_fraction < 1.0:
         da_s.fail("val_fraction", "must be in [0, 1)")
     da_s.check_unknown()
@@ -358,7 +363,8 @@ def format_config(cfg: FullConfig) -> str:
             if f.name == "operators":
                 value = " / ".join(",".join(map(str, tier)) for tier in value)
             elif isinstance(value, list):
-                value = ", ".join(map(str, value))
+                # an empty list is an absent key: sampling_factors' 1 per tier
+                value = ", ".join(map(str, value)) or None
             if value is not None:
                 lines.append(f"{f.name} = {value}")
         if name == "trainer" and cfg.metrics:
@@ -616,6 +622,8 @@ def _load_config(args, archive: dict | None = None) -> FullConfig:
         text = _archived_config_text(archive)
     cfg = parse_config(text)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ValidationError("trainer: seed must be at least 0")
         cfg.trainer.seed = args.seed
     if args.folds is not None:
         if args.folds < 1:

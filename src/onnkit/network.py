@@ -214,23 +214,24 @@ def network_forward(net: OpNetwork, batch, tape: Tape | None = None):
 
 
 # check_operator_set_gradients' probe: square image and kernel extents,
-# central-difference step, relative tolerance and tie margin
+# central-difference step, relative tolerance, tie margin and draws
 GRADCHECK_SIZE = 6
 GRADCHECK_KERNEL = 3
 GRADCHECK_TOL = 1e-4
 GRADCHECK_H = 1e-6
 GRADCHECK_MARGIN = 1e-4
+GRADCHECK_ATTEMPTS = 5
 
 
 def check_operator_set_gradients(library: OperatorSetLibrary, index: int, *,
-                                 seed: int = 0, in_channels: int = 1,
-                                 attempts: int = 5) -> ag.GradcheckReport:
+                                 seed: int = 0,
+                                 in_channels: int = 1) -> ag.GradcheckReport:
     """Finite-difference check of one operator set in a one-block network.
 
     The scalar target is the summed block output; gradients are checked
     for the input image, the weights and the bias. Draws whose selection
     operations sit within GRADCHECK_MARGIN of a tie, or whose probes flip
-    a winner, are redrawn up to `attempts` times.
+    a winner, are redrawn, up to GRADCHECK_ATTEMPTS draws in all.
     """
     opset = library.decode(index)
     constants = DEFAULT_CONSTANTS
@@ -244,7 +245,7 @@ def check_operator_set_gradients(library: OperatorSetLibrary, index: int, *,
                                         constants))
 
     report = None
-    for _ in range(attempts):
+    for _ in range(GRADCHECK_ATTEMPTS):
         x = Tensor._wrap(rng.uniform(-0.5, 0.5, (in_channels, size, size)))
         w = Tensor._wrap(rng.uniform(-0.5, 0.5, (in_channels, kernel, kernel)))
         b = Tensor(rng.uniform(-0.1, 0.1))

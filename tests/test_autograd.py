@@ -212,6 +212,25 @@ def test_gradcheck_near_tie_is_visible_in_margin():
     assert report.min_margin == pytest.approx(1e-9, rel=1e-3)
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_selection_log_is_installed_only_while_gradcheck_runs():
+    assert ag._selections.get() is None
+    logs = []
+
+    def f(v):
+        logs.append(ag._selections.get())
+        return ag.exp(ag.reduce_max(v, 0))
+
+    assert gradcheck(f, [Tensor([0.5, 0.25])]).passed
+    # the nominal pass and all four probes run with a log installed
+    assert len(logs) == 5 and all(log for log in logs)
+    assert ag._selections.get() is None
+    # exp overflows once a probe adds h to the nominal maximum
+    with pytest.raises(NonFiniteValue, match="perturbed"):
+        gradcheck(f, [Tensor([709.782712893, 0.0])])
+    assert ag._selections.get() is None
+
+
 def test_custom_backward_rule_is_invoked():
     x = np.array([0.3, -0.2, 0.1])
     marked = CustomBackward(

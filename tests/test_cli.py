@@ -3,6 +3,7 @@ import contextlib
 import dataclasses
 import io
 import re
+import sys
 import warnings
 from pathlib import Path
 
@@ -85,6 +86,17 @@ def test_format_config_round_trips():
     assert parse_config(text) == cfg
 
 
+def test_a_network_config_without_sampling_factors_round_trips():
+    # no sampling_factors, like an absent key, means 1 for every tier
+    cfg = FullConfig(NetworkConfig(tier_sizes=[1, 2], kernel_sizes=[3, 5],
+                                   operators=[[0], [2]]),
+                     TrainerConfig(num_epochs=1), DataConfig(task="identity"))
+    text = format_config(cfg)
+    assert "sampling_factors" not in text
+    expected = dataclasses.replace(cfg.network, sampling_factors=[1, 1])
+    assert parse_config(text) == dataclasses.replace(cfg, network=expected)
+
+
 def test_syntax_errors_name_their_line():
     with pytest.raises(ParseError, match=r"config: line 2:.*key = value"):
         parse_config("[network]\nnonsense\n")
@@ -145,6 +157,28 @@ def test_nan_is_a_config_error_for_every_float_key(tmp_path, capsys,
         f"error: {section}: line {at + 1}: {key} must be a number, got 'nan'"]
 
 
+# U(-b, b) needs 0 <= b and a finite width 2b
+BOUND_DOMAIN = "init_bound must be in [0, 8.988465674311579e+307]"
+
+
+@pytest.mark.parametrize("section,line,message", [
+    ("trainer", "seed = -1", "seed must be at least 0"),
+    ("data", "seed = -2", "seed must be at least 0"),
+    ("network", "init_bound = -0.5", BOUND_DOMAIN),
+    ("network", "init_bound = 1e308", BOUND_DOMAIN),
+    ("network", "init_bound = inf", BOUND_DOMAIN),
+])
+def test_seeds_and_init_bounds_numpy_cannot_draw_from_are_config_errors(
+        tmp_path, section, line, message):
+    lines = BASE.splitlines()
+    at = lines.index(f"[{section}]") + 1
+    lines.insert(at, line)
+    path = write_config(tmp_path, "\n".join(lines) + "\n")
+    assert run_cli(["train", "--config", str(path),
+                    "--out", str(tmp_path / "x")]) == (
+        1, [], [f"error: {section}: line {at + 1}: {message}"])
+
+
 @pytest.mark.parametrize("old,new", [
     ("tier_sizes = 1", "tier_sizes = 1  # one block"),
     ("[trainer]", "[trainer]\nmodel_name = m  ; note"),
@@ -187,7 +221,7 @@ def full_configs(draw):
         k_sin=draw(_floats), k_chirp=draw(_floats),
         cut=draw(_floats.filter(bool)),
         init=draw(st.sampled_from(["uniform", "fan_in"])),
-        init_bound=draw(_floats))
+        init_bound=draw(st.floats(0.0, sys.float_info.max / 2)))
     trainer = TrainerConfig(
         num_epochs=draw(st.integers(1, 10**6)),
         num_runs=draw(st.integers(1, 99)),
@@ -195,7 +229,7 @@ def full_configs(draw):
         momentum=draw(_floats), beta1=draw(_floats), beta2=draw(_floats),
         eps=draw(_floats), lr_decay=draw(_floats),
         batch_size=draw(st.integers(1, 512)),
-        seed=draw(st.integers(-2**63, 2**64)), model_name=draw(_names))
+        seed=draw(st.integers(0, 2**64)), model_name=draw(_names))
     task = draw(st.sampled_from(["identity", "blur-inverse", "nonlinear-map",
                                  "folder"]))
     path = draw(_names.filter(bool) if task == "folder"
@@ -205,7 +239,7 @@ def full_configs(draw):
         size=draw(st.integers(1, 4096)), channels=channels,
         folds=draw(st.integers(1, 20)),
         val_fraction=draw(st.floats(0.0, 1.0, exclude_max=True)),
-        seed=draw(st.integers(-2**63, 2**64)))
+        seed=draw(st.integers(0, 2**64)))
     metrics = draw(st.lists(st.tuples(st.just("snr"),
                                       st.sampled_from(["max", "min"])),
                             max_size=2))
@@ -684,6 +718,17 @@ def test_eval_applies_seed_and_folds_to_the_archived_config(base_out):
     code, lines, err = run_cli(["eval", "--ckpt", ckpt, "--seed", "5"])
     assert (code, err) == (0, [])
     assert lines and all(line.endswith(", match") for line in lines)
+
+
+@pytest.mark.parametrize("command", ["train", "gradcheck", "eval"])
+def test_a_negative_seed_override_is_a_trainer_error(base_out, tmp_path,
+                                                     command):
+    out, path = base_out
+    argv = {"train": ["--config", str(path), "--out", str(tmp_path / "x")],
+            "gradcheck": ["--config", str(path)],
+            "eval": ["--ckpt", str(out / "fold0.ckpt")]}[command]
+    assert run_cli([command, *argv, "--seed", "-1"]) == (
+        1, [], ["error: trainer: seed must be at least 0"])
 
 
 def test_eval_decodes_its_archive_once(base_out, monkeypatch):
