@@ -404,9 +404,36 @@ def stack(parts: Sequence[Variable], axis: int = 0) -> Variable:
     if len(shapes) != 1:
         raise ShapeMismatch(f"stack needs equal shapes, have {sorted(shapes)}")
     out = np.stack([p.value for p in parts], axis=axis)
+    shape = parts[0].shape
 
     def grad_fn(g: Array):
-        return tuple(np.ascontiguousarray(s) for s in np.moveaxis(g, axis, 0))
+        # ascontiguousarray makes a 0-d slice 1-d; the reshape restores it
+        return tuple(np.ascontiguousarray(s).reshape(shape)
+                     for s in np.moveaxis(g, axis, 0))
+
+    return record(parts, out, grad_fn)
+
+
+def place_rows(parts: Sequence[Variable], rows: Sequence[Array]) -> Variable:
+    """One array whose rows rows[i] are the rows of parts[i], in order.
+
+    The rows together must be a permutation of range(total rows); the
+    backward hands each part the gradient rows it placed.
+    """
+    parts = [as_variable(p) for p in parts]
+    tails = {p.shape[1:] for p in parts}
+    if len(tails) != 1 or any(p.shape[0] != len(r) for p, r in zip(parts, rows)):
+        raise ShapeMismatch("each part must have one row per row index, "
+                            "and all rows one shape")
+    total = sum(len(r) for r in rows)
+    if not np.array_equal(np.sort(np.concatenate(rows)), np.arange(total)):
+        raise ShapeMismatch(f"row indices are not a permutation of range({total})")
+    out = np.empty((total,) + tails.pop())
+    for p, r in zip(parts, rows):
+        out[r] = p.value
+
+    def grad_fn(g: Array):
+        return tuple(g[r] for r in rows)
 
     return record(parts, out, grad_fn)
 

@@ -381,8 +381,9 @@ def network_from_config(cfg: FullConfig,
     lib = library or register_builtin_library()
     n = cfg.network
     constants = OperatorConstants(k_sin=n.k_sin, k_chirp=n.k_chirp, cut=n.cut)
+    sampling = n.sampling_factors or [1] * len(n.tier_sizes)
     return build_network(n.in_channels, n.tier_sizes, n.kernel_sizes,
-                         n.operators, n.sampling_factors, lib, constants,
+                         n.operators, sampling, lib, constants,
                          (n.init, n.init_bound))
 
 

@@ -1,18 +1,24 @@
 """Operational networks: blocks, tiers and the full model.
 
 A block is one neuron of a tier: a weight grid of shape
-[in_channels, m, n], one scalar bias, and an operator set. Its forward
-pass works on the tier's shared patch matrix [C, M*N, m*n]: the weights
-are reshaped to [C, 1, m*n] and broadcast against the patches (each
-weight row meets every patch without materialising copies), the nodal
-result is pooled over the patch axis, channels are combined by summation,
-and the activation applies the bias as f(x - b).
+[in_channels, m, n], one scalar bias, and an operator set.
 
-A tier unfolds its input once and feeds the same patch matrix to every
-block, stacks the K block outputs into [K, M, N], and finally resamples
-spatially. A network chains tiers; with every block set to
-(mul, sum, identity) and zero biases it computes an ordinary
-multi-channel convolution stack.
+A tier groups its blocks by operator set when it is built. Per sample it
+unfolds its input once into the patch matrix [1, C, M*N, m*n], and
+block_forward evaluates each group of G blocks over it in one pass: the
+group's weights, stacked to [G, C, m, n], enter the nodal stage as
+[G, C, 1, m*n] and broadcast against the patches (each weight row meets
+every patch without materialising copies); the nodal result
+[G, C, M*N, m*n] is pooled over the patch axis, channels are combined by
+summation, and the activation applies the stacked biases [G, 1, 1] as
+f(x - b), giving [G, M, N]. In a tier that mixes operator sets one op
+puts the groups' rows back in block order, giving [K, M, N]; the tier
+finally resamples spatially. Every stage is elementwise or reduces
+along one axis, so a block's output has the same bits however many
+blocks share its group.
+
+A network chains tiers; with every block set to (mul, sum, identity) and
+zero biases it computes an ordinary multi-channel convolution stack.
 """
 from __future__ import annotations
 
@@ -51,30 +57,27 @@ class OpBlock:
     def parameters(self) -> list[Parameter]:
         return [self.weights, self.bias]
 
-    def forward(self, patches: Variable, spatial: tuple[int, int],
-                tape: Tape | None, constants: OperatorConstants) -> Variable:
-        """Map the tier's patch matrix [C, M*N, m*n] to this block's [M, N];
-        without a tape the parameters enter as constants."""
-        leaf = tape.watch if tape is not None else lambda p: ag.as_variable(p.value)
-        return block_forward(self.opset, leaf(self.weights), leaf(self.bias),
-                             patches, spatial, constants)
-
 
 def block_forward(opset: OperatorSet, weights: Variable, bias: Variable,
                   patches: Variable, spatial: tuple[int, int],
                   constants: OperatorConstants) -> Variable:
-    """One block's nodal, pool and activation stages: weights [C, m, n]
-    and a scalar bias over the patch matrix [C, M*N, m*n], giving [M, N]."""
-    c, m, n = weights.shape
-    w = ag.reshape(weights, (c, 1, m * n))
+    """The nodal, pool and activation stages of a group of G blocks that
+    share one operator set: weights [G, C, m, n] and biases [G, 1, 1] over
+    the patch matrix [1, C, M*N, m*n], giving [G, M, N]."""
+    g, c, m, n = weights.shape
+    w = ag.reshape(weights, (g, c, 1, m * n))
     z = evaluate_nodal(opset.nodal, w, patches, constants)
     pooled = evaluate_pool(opset.pool, z, constants)
-    x = ag.reshape(ag.reduce_sum(pooled, 0), spatial)
+    x = ag.reshape(ag.reduce_sum(pooled, 1), (g, *spatial))
     return evaluate_activation(opset.activation, x, bias, constants)
 
 
 class OpTier:
-    """A bank of blocks sharing one patch extraction, plus resampling."""
+    """A bank of blocks sharing one patch extraction, plus resampling.
+
+    The blocks are grouped by operator set once, here; a forward pass
+    evaluates each group in one block_forward call.
+    """
 
     def __init__(self, in_channels: int, size: int, kernel: tuple[int, int],
                  opsets: list[OperatorSet], sampling: int, name: str):
@@ -93,6 +96,12 @@ class OpTier:
             OpBlock(in_channels, kernel, opsets[k], f"{name}/{k}")
             for k in range(size)
         ]
+        members: dict[OperatorSet, list[int]] = {}
+        for k, opset in enumerate(opsets):
+            members.setdefault(opset, []).append(k)
+        # (operator set, its blocks, their positions in the tier's output)
+        self.groups = [(opset, [self.blocks[k] for k in ks], np.array(ks))
+                       for opset, ks in members.items()]
 
     def parameters(self) -> list[Parameter]:
         return [p for blk in self.blocks for p in blk.parameters()]
@@ -112,6 +121,8 @@ class OpTier:
 
     def forward(self, x: Variable, tape: Tape | None,
                 constants: OperatorConstants) -> Variable:
+        """Map one sample [C, M, N] to [K, M', N']; without a tape the
+        parameters enter as constants."""
         c, mm, nn = x.shape
         if c != self.in_channels:
             raise ShapeMismatch(
@@ -119,11 +130,18 @@ class OpTier:
             )
         self.output_spatial((mm, nn))
         plan = patchops.get_plan(mm, nn, *self.kernel)
-        patches = patchops.unfold(x, plan)
-        outputs = [blk.forward(patches, (mm, nn), tape, constants)
-                   for blk in self.blocks]
-        stacked = ag.stack(outputs, axis=0)
-        return patchops.resample(stacked, self.sampling)
+        patches = patchops.unfold(ag.reshape(x, (1, c, mm, nn)), plan)
+        leaf = tape.watch if tape is not None else lambda p: ag.as_variable(p.value)
+        outputs = []
+        for opset, blocks, _ in self.groups:
+            weights = ag.stack([leaf(blk.weights) for blk in blocks])
+            bias = ag.reshape(ag.stack([leaf(blk.bias) for blk in blocks]),
+                              (len(blocks), 1, 1))
+            outputs.append(block_forward(opset, weights, bias, patches,
+                                         (mm, nn), constants))
+        out = outputs[0] if len(outputs) == 1 else ag.place_rows(
+            outputs, [rows for _, _, rows in self.groups])
+        return patchops.resample(out, self.sampling)
 
 
 class OpNetwork:
@@ -226,7 +244,8 @@ GRADCHECK_ATTEMPTS = 5
 def check_operator_set_gradients(library: OperatorSetLibrary, index: int, *,
                                  seed: int = 0,
                                  in_channels: int = 1) -> ag.GradcheckReport:
-    """Finite-difference check of one operator set in a one-block network.
+    """Finite-difference check of one operator set on one image, through
+    block_forward as a one-block group.
 
     The scalar target is the summed block output; gradients are checked
     for the input image, the weights and the bias. Draws whose selection
@@ -246,9 +265,11 @@ def check_operator_set_gradients(library: OperatorSetLibrary, index: int, *,
 
     report = None
     for _ in range(GRADCHECK_ATTEMPTS):
-        x = Tensor._wrap(rng.uniform(-0.5, 0.5, (in_channels, size, size)))
-        w = Tensor._wrap(rng.uniform(-0.5, 0.5, (in_channels, kernel, kernel)))
-        b = Tensor(rng.uniform(-0.1, 0.1))
+        # one image and a one-block group: x [1, C, 6, 6], w [1, C, 3, 3]
+        # and b [1, 1, 1]
+        x = Tensor._wrap(rng.uniform(-0.5, 0.5, (1, in_channels, size, size)))
+        w = Tensor._wrap(rng.uniform(-0.5, 0.5, (1, in_channels, kernel, kernel)))
+        b = Tensor._wrap(rng.uniform(-0.1, 0.1, (1, 1, 1)))
         report = ag.gradcheck(f, [x, w, b], h=GRADCHECK_H, tol=GRADCHECK_TOL)
         if report.clean(GRADCHECK_MARGIN):
             return report

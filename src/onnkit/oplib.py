@@ -275,7 +275,10 @@ def add_custom_operator(lib: OperatorSetLibrary, kind: str, name: str, forward,
 
     kind is "nodal", "pool" or "activation". forward takes the stage's
     tracked variables plus an OperatorConstants (or, when a backward rule
-    is supplied, raw arrays). Returns the same library, updated.
+    is supplied, raw arrays). A stage sees a tier's whole group of G
+    blocks: nodal w [G, C, 1, m*n] and y [1, C, M*N, m*n], pool
+    z [G, C, M*N, m*n], activation x [G, M, N] and b [G, 1, 1]. Returns
+    the same library, updated.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown operator kind {kind!r}")

@@ -2,7 +2,9 @@
 
 unfold turns a [C, M, N] image into a [C, M*N, m*n] patch matrix: one row
 per output pixel holding that pixel's zero-padded m-by-n neighbourhood in
-row-major order ("same" padding, stride 1, odd kernel extents). fold_array
+row-major order ("same" padding, stride 1, odd kernel extents). A leading
+axis of length 1 passes through: [1, C, M, N] gives [1, C, M*N, m*n], the
+patch operand of a tier's grouped nodal stage. fold_array
 is its exact adjoint and unfold's backward: it scatter-adds patch entries
 back onto the image grid, so <unfold(y), G> equals <y, fold_array(G)> for
 all operands.
@@ -71,34 +73,40 @@ def get_plan(height: int, width: int, m: int, n: int) -> UnfoldPlan:
     return UnfoldPlan(height, width, (m, n))
 
 
+def _one_leading_axis(shape: tuple[int, ...], tail: tuple[int, int]) -> bool:
+    """Whether shape is [C, *tail] or [1, C, *tail]."""
+    return len(shape) in (3, 4) and shape[:-3] in ((), (1,)) and shape[-2:] == tail
+
+
 def unfold_array(y: Array, plan: UnfoldPlan) -> Array:
-    """Gather patches from a [C, M, N] array into [C, M*N, m*n]."""
-    if y.ndim != 3 or y.shape[1] != plan.height or y.shape[2] != plan.width:
+    """Gather patches from a [C, M, N] array into [C, M*N, m*n]; a leading
+    axis of length 1 is kept, [1, C, M, N] giving [1, C, M*N, m*n]."""
+    if not _one_leading_axis(y.shape, (plan.height, plan.width)):
         raise ShapeMismatch(
             f"expected [C, {plan.height}, {plan.width}] image, got {y.shape}"
         )
-    flat = y.reshape(y.shape[0], -1)
-    out = flat[:, plan.safe_index]
+    flat = y.reshape(y.shape[:-2] + (-1,))
+    out = flat[..., plan.safe_index]
     # the gather comes out channel-innermost; C order keeps the later
     # reductions' summation order, and with it every output bit, fixed
-    return np.ascontiguousarray(np.where(plan.valid[None, :, :], out, 0.0))
+    return np.ascontiguousarray(np.where(plan.valid, out, 0.0))
 
 
 def fold_array(patches: Array, plan: UnfoldPlan) -> Array:
-    """Scatter-add a [C, M*N, m*n] patch matrix back to [C, M, N]."""
-    if patches.ndim != 3 or patches.shape[1] != plan.patch_count \
-            or patches.shape[2] != plan.patch_size:
+    """Scatter-add a [C, M*N, m*n] patch matrix back to [C, M, N]; a
+    leading axis of length 1 is kept, as in unfold_array."""
+    if not _one_leading_axis(patches.shape, (plan.patch_count, plan.patch_size)):
         raise ShapeMismatch(
             f"expected [C, {plan.patch_count}, {plan.patch_size}] patches, "
             f"got {patches.shape}"
         )
-    channels = patches.shape[0]
-    out = np.zeros((channels, plan.height * plan.width), dtype=np.float64)
-    idx = plan.safe_index
-    contrib = np.where(plan.valid[None, :, :], patches, 0.0)
-    for c in range(channels):
-        np.add.at(out[c], idx.reshape(-1), contrib[c].reshape(-1))
-    return out.reshape(channels, plan.height, plan.width)
+    contrib = np.where(plan.valid, patches, 0.0)
+    contrib = contrib.reshape(-1, plan.patch_count * plan.patch_size)
+    out = np.zeros((contrib.shape[0], plan.height * plan.width), dtype=np.float64)
+    idx = plan.safe_index.reshape(-1)
+    for c in range(contrib.shape[0]):
+        np.add.at(out[c], idx, contrib[c])
+    return out.reshape(patches.shape[:-2] + (plan.height, plan.width))
 
 
 def unfold(y, plan: UnfoldPlan) -> Variable:

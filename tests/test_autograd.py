@@ -170,6 +170,31 @@ def test_reshape_and_stack_backward():
     assert np.array_equal(gb, [[4.0, 5.0], [6.0, 7.0]])
 
 
+def test_stack_of_scalars_backward():
+    tape = Tape()
+    a, b = tape.leaf(1.0), tape.leaf(2.0)
+    ga, gb = leaf_grads(tape, ag.sum_all(ag.stack([a, b])), a, b)
+    assert ga.shape == () and gb.shape == ()
+    assert ga == 1.0 and gb == 1.0
+
+
+def test_place_rows_orders_parts_and_routes_gradients():
+    tape = Tape()
+    a = tape.leaf(Tensor([[1.0], [2.0]]))
+    b = tape.leaf(Tensor([[3.0]]))
+    rows = [np.array([0, 2]), np.array([1])]
+    placed = ag.place_rows([a, b], rows)
+    assert placed.value.tolist() == [[1.0], [3.0], [2.0]]
+    root = ag.sum_all(ag.mul(placed, Tensor([[1.0], [2.0], [3.0]])))
+    ga, gb = leaf_grads(tape, root, a, b)
+    assert ga.tolist() == [[1.0], [3.0]]
+    assert gb.tolist() == [[2.0]]
+    with pytest.raises(ShapeMismatch):
+        ag.place_rows([a, b], [np.array([0, 1]), np.array([1])])
+    with pytest.raises(ShapeMismatch):
+        ag.place_rows([a, b], [np.array([0]), np.array([1])])
+
+
 def test_composed_elementwise_chain_passes_gradcheck():
     rng = np.random.default_rng(21)
     x = Tensor(rng.uniform(-0.5, 0.5, size=(3, 3)))

@@ -97,6 +97,15 @@ def test_a_network_config_without_sampling_factors_round_trips():
     assert parse_config(text) == dataclasses.replace(cfg, network=expected)
 
 
+def test_a_network_config_without_sampling_factors_builds():
+    # no sampling_factors means 1 for every tier here too
+    cfg = FullConfig(NetworkConfig(tier_sizes=[1], kernel_sizes=[3],
+                                   operators=[[0]]),
+                     TrainerConfig(num_epochs=1), DataConfig(task="identity"))
+    net = cli_mod.network_from_config(cfg)
+    assert [tier.sampling for tier in net.tiers] == [1]
+
+
 def test_syntax_errors_name_their_line():
     with pytest.raises(ParseError, match=r"config: line 2:.*key = value"):
         parse_config("[network]\nnonsense\n")

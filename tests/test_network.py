@@ -7,11 +7,13 @@ import pytest
 
 import onnkit.autograd as autograd_mod
 import onnkit.network as network_mod
-from onnkit.autograd import Tape
+from onnkit import patchops
+from onnkit.autograd import Tape, backward
 from onnkit.dataio import make_synthetic_task, partition
 from onnkit.errors import IndivisibleExtent, NonFiniteLoss, ShapeMismatch
 from onnkit.network import (
     OpNetwork,
+    block_forward,
     build_network,
     check_operator_set_gradients,
     network_forward,
@@ -187,6 +189,77 @@ def test_tier_extracts_patches_once_per_forward(lib, monkeypatch):
     net.reset_parameters(0)
     network_forward(net, np.zeros((1, 1, 4, 4)))
     assert len(calls) == 1
+
+
+def one_block_group(blk, patches, spatial, constants):
+    """A block evaluated alone, as a group of one."""
+    weights = autograd_mod.as_variable(blk.weights.value.data[np.newaxis])
+    bias = autograd_mod.as_variable(blk.bias.value.data.reshape(1, 1, 1))
+    return block_forward(blk.opset, weights, bias, patches, spatial, constants)
+
+
+def test_a_mixed_tier_matches_its_blocks_run_one_by_one(lib):
+    sine = lib.set_by_names("sine", "sum", "tanh").index
+    mul = lib.set_by_names("mul", "median", "lincut").index
+    net = build_network(2, [5], [3], [[sine, mul, sine, mul, sine]], [1],
+                        library=lib, init=("uniform", 0.5))
+    net.reset_parameters(4)
+    tier = net.tiers[0]
+    for k, blk in enumerate(tier.blocks):
+        blk.bias.assign(Tensor(0.1 * k - 0.2))
+    assert [rows.tolist() for _, _, rows in tier.groups] == [[0, 2, 4], [1, 3]]
+    x = np.random.default_rng(6).uniform(-1.0, 1.0, (2, 6, 6))
+    patches = patchops.unfold(x[np.newaxis], patchops.get_plan(6, 6, 3, 3))
+    for tape in (None, Tape()):
+        got = tier.forward(autograd_mod.as_variable(x), tape, net.constants)
+        assert (got.tape is None) == (tape is None)
+        for k, blk in enumerate(tier.blocks):
+            alone = one_block_group(blk, patches, (6, 6), net.constants)
+            assert np.array_equal(got.value[k], alone.value[0])
+
+
+class StandIns:
+    """Hands the tier gradcheck's variables in place of its parameters."""
+
+    def __init__(self, params, variables):
+        self.by_name = {p.name: v for p, v in zip(params, variables)}
+
+    def watch(self, param):
+        return self.by_name[param.name]
+
+
+def test_a_two_group_tier_passes_gradcheck(lib):
+    net = build_network(2, [3], [3], [[0, 18, 0]], [1], library=lib)
+    tier = net.tiers[0]
+    assert len(tier.groups) == 2
+    params = tier.parameters()
+    rng = np.random.default_rng(8)
+    values = [Tensor(rng.uniform(-0.5, 0.5, p.value.shape)) for p in params]
+    x = Tensor(rng.uniform(-0.5, 0.5, (2, 5, 5)))
+
+    def f(xv, *variables):
+        out = tier.forward(xv, StandIns(params, variables), net.constants)
+        return autograd_mod.sum_all(out)
+
+    report = autograd_mod.gradcheck(f, [x, *values], h=1e-6, tol=1e-4)
+    assert report.passed, f"max rel err {report.worst()}"
+    assert report.clean(1e-4)
+    assert len(report.max_rel_err) == 1 + len(params)
+
+
+def test_a_step_records_as_many_operations_for_any_tier_width(lib):
+    recorded = []
+    for width in (1, 4, 16):
+        net = build_network(1, [width, 1], [3, 3], [[0], [2]], [1, 1],
+                            library=lib)
+        net.reset_parameters(0)
+        tape = Tape()
+        out = network_forward(net, np.ones((2, 1, 6, 6)), tape)
+        loss = autograd_mod.sum_all(autograd_mod.mul(out, out))
+        # one leaf per parameter; every other node records an operation
+        recorded.append(len(tape.nodes) - len(net.parameters()))
+        backward(loss)
+    assert recorded[0] == recorded[1] == recorded[2]
 
 
 def test_empty_tier_list_is_rejected(lib):

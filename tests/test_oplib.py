@@ -12,7 +12,11 @@ from onnkit.errors import (
     NonFiniteValue,
     ShapeContractViolation,
 )
-from onnkit.network import check_operator_set_gradients
+from onnkit.network import (
+    build_network,
+    check_operator_set_gradients,
+    network_forward,
+)
 from onnkit.oplib import (
     OperatorConstants,
     add_custom_operator,
@@ -21,6 +25,7 @@ from onnkit.oplib import (
     evaluate_pool,
     register_builtin_library,
 )
+from onnkit.patchops import get_plan, unfold_array
 from onnkit.tensor import Tensor
 
 
@@ -169,6 +174,24 @@ def test_custom_pool_keeps_existing_indices(lib):
     for i, names in enumerate(before):
         assert lib.decode(i).names == names
     assert lib.decode(54).names == ("mul", "mean", "tanh")
+
+
+def test_readme_custom_operator_runs_in_a_tier_and_passes_gradcheck(lib):
+    add_custom_operator(lib, "nodal", "wsq", lambda w, y, consts: w * y * y)
+    index = lib.set_by_names("wsq", "sum", "tanh").index
+    assert index == 54
+    net = build_network(1, [2], [3], [[index]], [1], library=lib,
+                        init=("uniform", 0.5))
+    net.reset_parameters(0)
+    x = np.random.default_rng(5).uniform(-1.0, 1.0, (1, 1, 5, 5))
+    out = network_forward(net, x).data
+    # the nodal operator sees w [2, 1, 1, 9] and y [1, 1, 25, 9]
+    y = unfold_array(x[0], get_plan(5, 5, 3, 3))
+    for k, blk in enumerate(net.tiers[0].blocks):
+        w = blk.weights.value.data.reshape(1, 1, 9)
+        want = np.tanh((w * y * y).sum(axis=-1).sum(axis=0)).reshape(5, 5)
+        assert np.array_equal(out[0, k], want)
+    assert check_operator_set_gradients(lib, index, seed=0).passed
 
 
 def test_duplicate_operator_name_is_rejected(lib):

@@ -85,6 +85,21 @@ def test_unfold_validates_input_shape():
         unfold(Tensor(np.zeros((1, 4, 4))), get_plan(3, 3, 3, 3))
 
 
+def test_a_leading_axis_of_length_one_passes_through():
+    rng = np.random.default_rng(9)
+    plan = get_plan(4, 5, 3, 3)
+    y = rng.normal(size=(2, 4, 5))
+    assert np.array_equal(unfold_array(y[np.newaxis], plan),
+                          unfold_array(y, plan)[np.newaxis])
+    patches = rng.normal(size=(2, 20, 9))
+    assert np.array_equal(fold_array(patches[np.newaxis], plan),
+                          fold_array(patches, plan)[np.newaxis])
+    with pytest.raises(ShapeMismatch):
+        unfold_array(np.zeros((2, 2, 4, 5)), plan)
+    with pytest.raises(ShapeMismatch):
+        fold_array(np.zeros((2, 2, 20, 9)), plan)
+
+
 def test_downsample_takes_cell_maxima():
     x = Tensor([[[1.0, 2.0], [3.0, 4.0]]])
     out = resample(x, 2)
