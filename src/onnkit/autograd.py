@@ -12,16 +12,19 @@ A tape lives for one backward: backward returns every leaf's gradient and
 releases the tape, after which using it raises DetachedRoot. Ops on
 untracked inputs record nothing, and grad closures hold no Variables.
 
-Selection-style operations (max, median, clamp, downsampling by max) hand
-their winners, and a thunk for how close those sit to a tie (the margin),
-to the selection log that only gradcheck installs; tapes hold only what
-backward needs. gradcheck computes the margins of its nominal pass and runs
-its probes on constants: a probe that picks other winners than the nominal
-pass sits on a kink, and counts as a tie rather than a failure.
+Selection-style operations (max, median, clamp, downsampling by max, and
+select, which picks max or median winners of a constant array for gather
+to tape) hand their winners, and a thunk for how close those sit to a tie
+(the margin), to the selection log that only gradcheck installs; tapes
+hold only what backward needs. gradcheck computes the margins of its
+nominal pass and runs its probes on constants: a probe that picks other
+winners than the nominal pass sits on a kink, and counts as a tie rather
+than a failure.
 """
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -188,9 +191,8 @@ def record(inputs: Sequence[Variable], out_value: Array, grad_fn: GradFn, *,
     """
     out_value = np.asarray(out_value)
     out_value.flags.writeable = False
-    log = None if selection is None else _selections.get()
-    if log is not None:
-        log.append((selection, tie_margin))
+    if selection is not None:
+        _log_selection(selection, tie_margin)
     tapes = {v.tape for v in inputs if v.tape is not None}
     if len(tapes) > 1:
         raise RuntimeError("inputs belong to different tapes")
@@ -200,6 +202,23 @@ def record(inputs: Sequence[Variable], out_value: Array, grad_fn: GradFn, *,
     parents = tuple(v.node if v.tape is tape else None for v in inputs)
     nid = tape._append(Node(parents, out_value.shape, grad_fn))
     return Variable(out_value, tape, nid)
+
+
+def _log_selection(winners: Array, tie_margin: Callable[[], float] | None) -> None:
+    log = _selections.get()
+    if log is not None:
+        log.append((winners, tie_margin))
+
+
+@contextmanager
+def unlogged():
+    """Selections made inside go to no selection log: for a computation
+    whose selections were already logged over a larger operand."""
+    token = _selections.set(None)
+    try:
+        yield
+    finally:
+        _selections.reset(token)
 
 
 def _unbroadcast(grad: Array, shape: Shape) -> Array:
@@ -259,9 +278,12 @@ def mul(a, b) -> Variable:
     broadcast_shape(a.shape, b.shape)
     ad, bd = a.value, b.value
     out = ad * bd
+    # an untracked operand's gradient is never read: it is not formed
+    need_a, need_b = a.node is not None, b.node is not None
 
     def grad_fn(g: Array):
-        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
+        return (_unbroadcast(g * bd, ad.shape) if need_a else None,
+                _unbroadcast(g * ad, bd.shape) if need_b else None)
 
     return record((a, b), out, grad_fn)
 
@@ -352,6 +374,16 @@ def _reduce_select(x, axis: int, kind: str, scale: float) -> Variable:
                   tie_margin=lambda: _selection_margin(xd, arg, axis))
 
 
+def select(values: Array, kind: str) -> Array:
+    """The winners of a "max" or "median" reduction of a constant array's
+    trailing axis, found and logged for gradcheck as reduce_max and
+    reduce_median find and log theirs."""
+    axis = values.ndim - 1
+    _, arg = _reduce_raw(kind, values, axis)
+    _log_selection(arg, lambda: _selection_margin(values, arg, axis))
+    return arg
+
+
 def reduce_max(x, axis: int, scale: float = 1.0) -> Variable:
     """Maximum along one axis, times a constant. Gradient flows only to
     the winning element; ties resolve to the lowest index."""
@@ -412,6 +444,32 @@ def stack(parts: Sequence[Variable], axis: int = 0) -> Variable:
                      for s in np.moveaxis(g, axis, 0))
 
     return record(parts, out, grad_fn)
+
+
+def gather(x, index: Array) -> Variable:
+    """x[..., index]: per row of the index array, the entry of x's
+    trailing axis at that index, where x's leading axes broadcast to the
+    index array's shape.
+
+    The backward scatter-adds with np.bincount in the index array's C
+    order, so an entry picked more than once sums its gradients in a
+    fixed order.
+    """
+    x = as_variable(x)
+    lead, length = x.shape[:-1], x.shape[-1]
+    if len(lead) != index.ndim or broadcast_shape(lead, index.shape) != index.shape:
+        raise ShapeMismatch(f"cannot gather {index.shape} indices from {x.shape}")
+    if index.size and not (0 <= index.min() and index.max() < length):
+        raise ShapeMismatch(f"gather index outside [0, {length})")
+    rows = np.broadcast_to(np.arange(math.prod(lead)).reshape(lead), index.shape)
+    flat = (rows * length + index).ravel()
+    in_shape, size = x.shape, x.value.size
+
+    def grad_fn(g: Array):
+        return (np.bincount(flat, weights=g.ravel(), minlength=size)
+                .reshape(in_shape),)
+
+    return record((x,), x.value.reshape(-1)[flat].reshape(index.shape), grad_fn)
 
 
 def place_rows(parts: Sequence[Variable], rows: Sequence[Array]) -> Variable:

@@ -17,6 +17,14 @@ finally resamples spatially. Every stage is elementwise or reduces
 along one axis, so a block's output has the same bits however many
 blocks share its group.
 
+A median or max pool hands each output pixel's gradient to one patch
+entry, its winner. A taped pass therefore evaluates such a group's nodal
+stage on constants, picks the winners [G, C, M*N] there and tapes the
+nodal stage again on the winning pairs only: the nodal operator is then
+called with w and y both [G, C, M*N], and its result times the patch
+length is the pool's output. An untaped pass runs the nodal stage and the
+pool once, over the full patch matrix.
+
 A network chains tiers; with every block set to (mul, sum, identity) and
 zero biases it computes an ordinary multi-channel convolution stack.
 """
@@ -36,6 +44,7 @@ from .oplib import (
     evaluate_activation,
     evaluate_nodal,
     evaluate_pool,
+    scale_winners,
 )
 from .tensor import Tensor
 
@@ -66,8 +75,19 @@ def block_forward(opset: OperatorSet, weights: Variable, bias: Variable,
     the patch matrix [1, C, M*N, m*n], giving [G, M, N]."""
     g, c, m, n = weights.shape
     w = ag.reshape(weights, (g, c, 1, m * n))
-    z = evaluate_nodal(opset.nodal, w, patches, constants)
-    pooled = evaluate_pool(opset.pool, z, constants)
+    if opset.pool.select is None or w.tape is None and patches.tape is None:
+        z = evaluate_nodal(opset.nodal, w, patches, constants)
+        pooled = evaluate_pool(opset.pool, z, constants)
+    else:
+        # a selection pool hands each pixel's gradient to one patch entry:
+        # pick the winners on constants, then tape the nodal stage on them
+        z = evaluate_nodal(opset.nodal, Variable(w.value, None, None),
+                           Variable(patches.value, None, None), constants)
+        arg = ag.select(z.value, opset.pool.select)
+        with ag.unlogged():
+            z = evaluate_nodal(opset.nodal, ag.gather(w, arg),
+                               ag.gather(patches, arg), constants)
+        pooled = scale_winners(opset.pool, z, m * n)
     x = ag.reshape(ag.reduce_sum(pooled, 1), (g, *spatial))
     return evaluate_activation(opset.activation, x, bias, constants)
 

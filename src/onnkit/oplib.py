@@ -51,10 +51,17 @@ DEFAULT_CONSTANTS = OperatorConstants()
 
 @dataclass(frozen=True)
 class Operator:
-    """One named stage function of any kind; the constants come last."""
+    """One named stage function of any kind; the constants come last.
+
+    select marks a built-in selection pool by its reduction ("max" or
+    "median"): such a pool returns the winner of each patch row times the
+    patch length, so a taped pass evaluates its nodal stage on the winners
+    only (see network.block_forward).
+    """
 
     name: str
     fn: Callable[..., Variable]
+    select: str | None = None
 
 
 # the stages of an operator set, in enumeration order (nodal-major)
@@ -142,8 +149,8 @@ BUILTIN_NODAL = (
 
 BUILTIN_POOL = (
     Operator("sum", _pool_sum),
-    Operator("median", _pool_median),
-    Operator("max", _pool_max),
+    Operator("median", _pool_median, select="median"),
+    Operator("max", _pool_max, select="max"),
 )
 
 BUILTIN_ACTIVATION = (
@@ -232,6 +239,12 @@ def evaluate_pool(op: Operator, z,
     return _check_finite(op.fn(z, constants), f"pool operator {op.name!r}")
 
 
+def scale_winners(op: Operator, z, length: int) -> Variable:
+    """A selection pool's output from its winners' nodal values z [G, C,
+    M*N]: z times the patch length, checked as evaluate_pool checks."""
+    return _check_finite(ag.mul(z, float(length)), f"pool operator {op.name!r}")
+
+
 def evaluate_activation(op: Operator, x, b,
                         constants: OperatorConstants = DEFAULT_CONSTANTS) -> Variable:
     x, b = ag.as_variable(x), ag.as_variable(b)
@@ -277,8 +290,11 @@ def add_custom_operator(lib: OperatorSetLibrary, kind: str, name: str, forward,
     tracked variables plus an OperatorConstants (or, when a backward rule
     is supplied, raw arrays). A stage sees a tier's whole group of G
     blocks: nodal w [G, C, 1, m*n] and y [1, C, M*N, m*n], pool
-    z [G, C, M*N, m*n], activation x [G, M, N] and b [G, 1, 1]. Returns
-    the same library, updated.
+    z [G, C, M*N, m*n], activation x [G, M, N] and b [G, 1, 1]. In a
+    taped pass under a median or max pool a nodal operator is also
+    called on the winning pairs, w and y both [G, C, M*N]; a hand-written
+    backward must therefore sum each gradient over the axes its input was
+    broadcast along, whichever they are. Returns the same library, updated.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown operator kind {kind!r}")

@@ -195,6 +195,53 @@ def test_place_rows_orders_parts_and_routes_gradients():
         ag.place_rows([a, b], [np.array([0]), np.array([1])])
 
 
+def test_gather_picks_trailing_entries_and_scatter_adds_gradients():
+    tape = Tape()
+    # x's leading axes (2, 1) broadcast to the index's (2, 3)
+    x = tape.leaf(Tensor([[[1.0, 2.0, 3.0]], [[4.0, 5.0, 6.0]]]))
+    index = np.array([[2, 0, 2], [1, 1, 0]])
+    picked = ag.gather(x, index)
+    assert picked.value.tolist() == [[3.0, 1.0, 3.0], [5.0, 5.0, 4.0]]
+    weights = Tensor([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    (gx,) = leaf_grads(tape, ag.sum_all(ag.mul(picked, weights)), x)
+    assert gx.tolist() == [[[2.0, 0.0, 4.0]], [[6.0, 9.0, 0.0]]]
+    rows = Tensor([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    # out of range, a row count that does not broadcast, a wrong rank
+    for bad in (np.array([0, 3]), np.array([-1, 0]), np.array([0]),
+                np.array([[0], [1]])):
+        with pytest.raises(ShapeMismatch):
+            ag.gather(rows, bad)
+
+
+def test_gather_passes_gradcheck():
+    rng = np.random.default_rng(5)
+    index = rng.integers(0, 4, size=(3, 2, 5))
+
+    def f(w, y):
+        return ag.sum_all(ag.sin(ag.mul(ag.gather(w, index), ag.gather(y, index))))
+
+    report = gradcheck(f, [Tensor(rng.uniform(-1, 1, (3, 2, 1, 4))),
+                           Tensor(rng.uniform(-1, 1, (1, 2, 5, 4)))])
+    assert report.passed and report.tie_coords == 0
+
+
+def test_mul_forms_no_gradient_for_an_untracked_operand(monkeypatch):
+    tape = Tape()
+    x = tape.leaf(Tensor([[1.0, 2.0]]))
+    formed = []
+    unbroadcast = ag._unbroadcast
+
+    def counting(grad, shape):
+        formed.append(shape)
+        return unbroadcast(grad, shape)
+
+    monkeypatch.setattr(ag, "_unbroadcast", counting)
+    root = ag.sum_all(ag.mul(x, Tensor([[3.0], [4.0]])))
+    (gx,) = leaf_grads(tape, root, x)
+    assert gx.tolist() == [[7.0, 7.0]]
+    assert formed == [(1, 2)]
+
+
 def test_composed_elementwise_chain_passes_gradcheck():
     rng = np.random.default_rng(21)
     x = Tensor(rng.uniform(-0.5, 0.5, size=(3, 3)))

@@ -10,7 +10,12 @@ import onnkit.network as network_mod
 from onnkit import patchops
 from onnkit.autograd import Tape, backward
 from onnkit.dataio import make_synthetic_task, partition
-from onnkit.errors import IndivisibleExtent, NonFiniteLoss, ShapeMismatch
+from onnkit.errors import (
+    IndivisibleExtent,
+    NonFiniteLoss,
+    NonFiniteValue,
+    ShapeMismatch,
+)
 from onnkit.network import (
     OpNetwork,
     block_forward,
@@ -260,6 +265,100 @@ def test_a_step_records_as_many_operations_for_any_tier_width(lib):
         recorded.append(len(tape.nodes) - len(net.parameters()))
         backward(loss)
     assert recorded[0] == recorded[1] == recorded[2]
+
+
+def dense_group(opset, weights, bias, patches, spatial, constants):
+    """block_forward's stages composed over the full nodal array."""
+    g, c, m, n = weights.shape
+    z = opset.nodal.fn(autograd_mod.reshape(weights, (g, c, 1, m * n)),
+                       patches, constants)
+    select = {"median": autograd_mod.reduce_median,
+              "max": autograd_mod.reduce_max}.get(opset.pool.name)
+    pooled = (autograd_mod.reduce_sum(z, -1) if select is None
+              else select(z, -1, scale=float(m * n)))
+    x = autograd_mod.reshape(autograd_mod.reduce_sum(pooled, 1), (g, *spatial))
+    return opset.activation.fn(x, bias, constants)
+
+
+def test_a_taped_selection_group_matches_the_dense_composition(lib):
+    sets = [lib.set_by_names(*names).index for names in (
+        ("cubic", "median", "lincut"), ("sine", "max", "tanh"),
+        ("mul", "sum", "tanh"))]
+    # two blocks in each selection group, three in the sum group
+    net = build_network(2, [7], [3], [sets * 2 + sets[2:]], [1], library=lib,
+                        init=("uniform", 0.5))
+    net.reset_parameters(2)
+    tier = net.tiers[0]
+    for k, blk in enumerate(tier.blocks):
+        blk.bias.assign(Tensor(0.05 * k - 0.1))
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.uniform(-1.0, 1.0, (2, 6, 6)))
+    r = Tensor(rng.uniform(-1.0, 1.0, (7, 6, 6)))
+    plan = patchops.get_plan(6, 6, 3, 3)
+
+    def dense(xv, tape):
+        patches = patchops.unfold(autograd_mod.reshape(xv, (1, 2, 6, 6)), plan)
+        outs = [dense_group(
+            opset, autograd_mod.stack([tape.watch(b.weights) for b in blocks]),
+            autograd_mod.reshape(autograd_mod.stack(
+                [tape.watch(b.bias) for b in blocks]), (len(blocks), 1, 1)),
+            patches, (6, 6), net.constants) for opset, blocks, _ in tier.groups]
+        return autograd_mod.place_rows(outs, [rows for *_, rows in tier.groups])
+
+    def taped(forward):
+        tape = Tape()
+        xv = tape.leaf(x)
+        out = forward(xv, tape)
+        shapes = {node.shape for node in tape.nodes}
+        leaves = [xv.node] + [tape.watch(p).node for p in tier.parameters()]
+        grads = backward(autograd_mod.sum_all(autograd_mod.mul(out, r)))
+        return out.value, [grads[n].data for n in leaves], shapes
+
+    out, got, shapes = taped(lambda xv, tape: tier.forward(xv, tape, net.constants))
+    want_out, want, dense_shapes = taped(dense)
+    assert np.array_equal(out, want_out)
+    for a, b in zip(got, want):
+        assert np.any(b != 0.0)
+        assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+    # the sum group (3 blocks) tapes its full nodal array, the selection
+    # groups (2 blocks each) theirs only in the dense composition
+    assert (3, 2, 36, 9) in shapes and (2, 2, 36, 9) in dense_shapes
+    assert (2, 2, 36, 9) not in shapes
+
+
+def test_an_overflow_off_the_winners_aborts_a_taped_step(lib, monkeypatch):
+    exp_median = lib.set_by_names("exp", "median", "tanh").index
+    net = build_network(1, [1], [3], [[exp_median]], [1], library=lib)
+    blk = net.tiers[0].blocks[0]
+
+    def corner_weight(seed):
+        # exp(1e4 * y) - 1 overflows where a patch's first entry y > 0.08;
+        # the other eight entries give exp(0) - 1 = 0, so every median,
+        # the winner, stays 0
+        w = np.zeros((1, 3, 3))
+        w[0, 0, 0] = 1e4
+        blk.weights.assign(Tensor(w))
+        blk.bias.assign(Tensor(0.0))
+
+    monkeypatch.setattr(net, "reset_parameters", corner_weight)
+    data = make_synthetic_task("identity", count=4, size=6, seed=0)
+    corner_weight(0)
+    patches = patchops.unfold_array(data.pairs[0][0].data,
+                                    patchops.get_plan(6, 6, 3, 3))
+    with np.errstate(over="ignore"):
+        z = np.expm1(1e4 * patches[..., 0])
+    assert np.isinf(z).any()
+    x = autograd_mod.as_variable(data.pairs[0][0])
+    with pytest.raises(NonFiniteValue, match="nodal operator 'exp'"), \
+            np.errstate(over="ignore"):
+        net.tiers[0].forward(x, Tape(), net.constants)
+    split = partition(data, folds=1, val_fraction=0.25, seed=0)[0]
+    cfg = TrainerConfig(num_epochs=1, optimizer="sgd", lr=0.01, batch_size=4)
+    trainer = Trainer(net, split, cfg)
+    with pytest.raises(NonFiniteLoss, match="every run diverged"):
+        trainer.train()
+    assert trainer.record.run_status == [
+        "aborted: nodal operator 'exp' produced a non-finite value"]
 
 
 def test_empty_tier_list_is_rejected(lib):

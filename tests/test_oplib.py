@@ -6,6 +6,7 @@ import pytest
 
 import onnkit.autograd as ag
 from onnkit.autograd import Tape, backward, gradcheck
+from onnkit.dataio import make_synthetic_task, partition
 from onnkit.errors import (
     DuplicateName,
     EmptyAxis,
@@ -27,6 +28,7 @@ from onnkit.oplib import (
 )
 from onnkit.patchops import get_plan, unfold_array
 from onnkit.tensor import Tensor
+from onnkit.trainer import Trainer, TrainerConfig
 
 
 @pytest.fixture()
@@ -233,6 +235,47 @@ def test_wrong_custom_backward_is_caught_by_gradient_check(lib):
                if lib.decode(i).names == ("bad", "sum", "identity"))
     report = check_operator_set_gradients(lib, idx, seed=3)
     assert not report.passed
+
+
+def test_custom_backward_trains_and_gradchecks_under_a_median_pool(lib):
+    # taped under a median pool, the rule also meets w and y both
+    # [G, C, M*N], the winning pairs: summing over broadcast axes serves
+    # both call shapes
+    add_custom_operator(
+        lib, "nodal", "pair",
+        forward=lambda w, y: w * y + 0.5 * w * w,
+        backward=lambda g, w, y, out: (_sum_to_shape(g * (y + w), w.shape),
+                                       _sum_to_shape(g * w, y.shape)),
+    )
+    idx = lib.set_by_names("pair", "median", "tanh").index
+    report = check_operator_set_gradients(lib, idx, seed=3)
+    assert report.passed, f"max rel err {report.worst()}"
+    assert report.tie_coords == 0
+    # the custom tier's input is tracked, so its y gradient is needed too
+    net = build_network(1, [2, 3, 1], [3, 3, 3], [[0], [idx], [2]], [1, 1, 1],
+                        library=lib, init=("uniform", 0.5))
+    data = make_synthetic_task("identity", count=4, size=6, seed=0)
+    split = partition(data, folds=1, val_fraction=0.25, seed=0)[0]
+    cfg = TrainerConfig(num_epochs=1, optimizer="sgd", lr=0.1, batch_size=4)
+    net.reset_parameters(cfg.seed)  # the draw the run starts from
+    before = [p.value.data.copy() for p in net.tiers[1].parameters()]
+    trainer = Trainer(net, split, cfg)
+    trainer.train()
+    assert trainer.record.run_status == ["done"]
+    after = [p.value.data for p in net.tiers[1].parameters()]
+    assert all(not np.array_equal(a, b) for a, b in zip(after, before))
+
+
+def test_a_clamping_nodal_operator_logs_each_selection_once(lib):
+    # the taped pass picks the max winners on the full nodal array, whose
+    # clamp it logs, then evaluates the clamp again on the winners only:
+    # logged twice, it would make every probe of gradcheck a tie
+    add_custom_operator(lib, "nodal", "clipped",
+                        lambda w, y, c: ag.clamp(ag.mul(w, y), -5.0, 5.0))
+    idx = lib.set_by_names("clipped", "max", "identity").index
+    report = check_operator_set_gradients(lib, idx, seed=1)
+    assert report.passed, f"max rel err {report.worst()}"
+    assert report.tie_coords == 0
 
 
 @pytest.mark.parametrize("nodal", ["mul", "cubic", "sine", "exp", "sinh", "chirp"])
