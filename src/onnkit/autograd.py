@@ -12,14 +12,14 @@ A tape lives for one backward: backward returns every leaf's gradient and
 releases the tape, after which using it raises DetachedRoot. Ops on
 untracked inputs record nothing, and grad closures hold no Variables.
 
-Selection-style operations (max, median, clamp, downsampling by max, and
-select, which picks max or median winners of a constant array for gather
-to tape) hand their winners, and a thunk for how close those sit to a tie
-(the margin), to the selection log that only gradcheck installs; tapes
-hold only what backward needs. gradcheck computes the margins of its
-nominal pass and runs its probes on constants: a probe that picks other
-winners than the nominal pass sits on a kink, and counts as a tie rather
-than a failure.
+Selection-style operations (max, median, clamp, and select, which picks
+max or median winners of a constant array for gather to tape, as the
+selection pools and the max downsample do) hand their winners, and a
+thunk for how close those sit to a tie (the margin), to the selection
+log that only gradcheck installs; tapes hold only what backward needs.
+gradcheck computes the margins of its nominal pass and runs its probes on
+constants: a probe that picks other winners than the nominal pass sits
+on a kink, and counts as a tie rather than a failure.
 """
 from __future__ import annotations
 
@@ -181,18 +181,11 @@ def broadcast_shape(a: Shape, b: Shape) -> Shape:
         raise ShapeMismatch(f"cannot broadcast {a} with {b}") from None
 
 
-def record(inputs: Sequence[Variable], out_value: Array, grad_fn: GradFn, *,
-           selection: Array | None = None,
-           tie_margin: Callable[[], float] | None = None) -> Variable:
-    """Append one operation node; constant inputs contribute no node id.
-
-    The output array is marked read-only. A selection op's winners and
-    tie_margin thunk go to gradcheck's selection log, when one is installed.
-    """
+def record(inputs: Sequence[Variable], out_value: Array, grad_fn: GradFn) -> Variable:
+    """Append one operation node, its output array marked read-only;
+    constant inputs contribute no node id."""
     out_value = np.asarray(out_value)
     out_value.flags.writeable = False
-    if selection is not None:
-        _log_selection(selection, tie_margin)
     tapes = {v.tape for v in inputs if v.tape is not None}
     if len(tapes) > 1:
         raise RuntimeError("inputs belong to different tapes")
@@ -204,7 +197,9 @@ def record(inputs: Sequence[Variable], out_value: Array, grad_fn: GradFn, *,
     return Variable(out_value, tape, nid)
 
 
-def _log_selection(winners: Array, tie_margin: Callable[[], float] | None) -> None:
+def _log_selection(winners: Array, tie_margin: Callable[[], float]) -> None:
+    """Hand a selection op's winners and tie-margin thunk to gradcheck's
+    selection log, when one is installed."""
     log = _selections.get()
     if log is not None:
         log.append((winners, tie_margin))
@@ -338,8 +333,8 @@ def clamp(x, low: float, high: float) -> Variable:
     def grad_fn(g: Array):
         return (g * mask,)
 
-    return record((x,), out, grad_fn, selection=mask,
-                  tie_margin=lambda: _clamp_margin(xd, low, high))
+    _log_selection(mask, lambda: _clamp_margin(xd, low, high))
+    return record((x,), out, grad_fn)
 
 
 # --- reductions ---
@@ -369,9 +364,8 @@ def _reduce_select(x, axis: int, kind: str, scale: float) -> Variable:
                           np.expand_dims(g * scale, axis), axis=axis)
         return (out,)
 
-    out_value = values if scale == 1.0 else values * scale
-    return record((x,), out_value, grad_fn, selection=arg,
-                  tie_margin=lambda: _selection_margin(xd, arg, axis))
+    _log_selection(arg, lambda: _selection_margin(xd, arg, axis))
+    return record((x,), values if scale == 1.0 else values * scale, grad_fn)
 
 
 def select(values: Array, kind: str) -> Array:
@@ -635,7 +629,7 @@ def gradcheck(f: Callable[..., Variable], inputs: Sequence[Tensor], *,
     if not math.isfinite(float(root.value.reshape(()))):
         raise NonFiniteValue("gradcheck target is not finite")
     base_winners = [winners for winners, _ in selections]
-    min_margin = min([math.inf] + [m() for _, m in selections if m is not None])
+    min_margin = min([math.inf] + [m() for _, m in selections])
     grads = backward(root)
 
     def evaluate(arrays: list[Array]) -> tuple[float, bool]:

@@ -17,6 +17,8 @@ each tier holds either one operator set index (shared by all its blocks)
 or one index per block, e.g. "operators = 4 / 0,13 / 3". Comments are
 whole lines starting with '#' or ';'; a value holding whitespace followed
 by '#' or ';' is rejected. Validation failures name the offending line.
+A tier chain that does not map the configured [channels, size, size]
+images onto targets of that shape is a configuration error too.
 
 train archives the effective configuration (the file's values with the
 --seed and --folds overrides applied, rendered by format_config) in every
@@ -42,12 +44,13 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from . import checkpoint, dataio
+from . import checkpoint, dataio, patchops
 from .errors import (
     NonFiniteLoss,
     OnnkitError,
     ParseError,
     TooFewSamples,
+    UnfitNetwork,
     UnknownOptimizer,
     ValidationError,
 )
@@ -432,6 +435,8 @@ def cmd_describe(cfg: FullConfig, library: OperatorSetLibrary | None = None,
     lib = library or register_builtin_library()
     net = network_from_config(cfg, lib)
     size = cfg.data.size
+    images = (cfg.data.channels, size, size)
+    net.check_fit(images, images)
     flow = net.spatial_flow((size, size))
     print(f"input: {net.in_channels} x {size} x {size}", file=stream)
     for t, tier in enumerate(net.tiers):
@@ -442,6 +447,17 @@ def cmd_describe(cfg: FullConfig, library: OperatorSetLibrary | None = None,
             f"tier {t}: {tier.size} block(s), kernel "
             f"{tier.kernel[0]}x{tier.kernel[1]}, operators {ops}, "
             f"sampling {tier.sampling}, output {tier.size} x {mm} x {nn}",
+            file=stream,
+        )
+        # the pool sees the tier's input extents; a window more than half
+        # padding pools to 0 under a median, whatever the input
+        plan = patchops.get_plan(*(flow[t - 1] if t else (size, size)), *tier.kernel)
+        entries = tier.in_channels * plan.patch_count * plan.patch_size
+        padded = (plan.index == plan.patch_count).sum(axis=1) * 2 > plan.patch_size
+        print(
+            f"  per sample: patch matrix {8 * entries} bytes, "
+            f"{tier.size * entries} nodal evaluations, {padded.sum()} of "
+            f"{plan.patch_count} windows more than half zero padding",
             file=stream,
         )
     print(f"parameters: {net.parameter_count()}", file=stream)
@@ -656,6 +672,9 @@ def main(argv=None) -> int:
         return 1
     except UnknownOptimizer as e:
         print(f"error: trainer: {e}", file=sys.stderr)
+        return 1
+    except UnfitNetwork as e:
+        print(f"error: network: {e}", file=sys.stderr)
         return 1
     except (ParseError, ValidationError) as e:
         print(f"error: {e}", file=sys.stderr)

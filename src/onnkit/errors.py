@@ -77,6 +77,11 @@ class VersionMismatch(OnnkitError):
 
 # --- training ---
 
+class UnfitNetwork(ShapeMismatch):
+    """A network's tier chain does not map the data's images onto
+    targets of their shape."""
+
+
 class NonFiniteLoss(OnnkitError):
     """The training loss became NaN or infinite."""
 

@@ -35,7 +35,7 @@ import numpy as np
 from . import autograd as ag
 from . import patchops
 from .autograd import Parameter, Tape, Variable
-from .errors import IndivisibleExtent, ShapeMismatch
+from .errors import IndivisibleExtent, ShapeMismatch, UnfitNetwork
 from .oplib import (
     DEFAULT_CONSTANTS,
     OperatorConstants,
@@ -75,6 +75,11 @@ def block_forward(opset: OperatorSet, weights: Variable, bias: Variable,
     the patch matrix [1, C, M*N, m*n], giving [G, M, N]."""
     g, c, m, n = weights.shape
     w = ag.reshape(weights, (g, c, 1, m * n))
+    # untaped selection groups keep the dense pool: sending them through
+    # the winners path below leaves an untaped network forward no faster,
+    # but makes every gradcheck probe (all are untaped) pay a second nodal
+    # pass and two gathers; check_operator_set_gradients for set 13
+    # (cubic, median, lincut) took a third to a half longer that way
     if opset.pool.select is None or w.tape is None and patches.tape is None:
         z = evaluate_nodal(opset.nodal, w, patches, constants)
         pooled = evaluate_pool(opset.pool, z, constants)
@@ -205,6 +210,21 @@ class OpNetwork:
             spatial = tier.output_spatial(spatial)
             flow.append(spatial)
         return flow
+
+    def check_fit(self, in_shape: tuple[int, ...],
+                  out_shape: tuple[int, ...]) -> None:
+        """Raise UnfitNetwork unless the tiers map [C, M, N] images of
+        in_shape to outputs of out_shape."""
+        if in_shape[0] != self.in_channels:
+            raise UnfitNetwork(f"data has {in_shape[0]} channels, network "
+                               f"expects {self.in_channels}")
+        try:
+            produced = (self.out_channels,) + self.spatial_flow(tuple(in_shape[1:]))[-1]
+        except IndivisibleExtent as e:
+            raise UnfitNetwork(str(e)) from e
+        if produced != tuple(out_shape):
+            raise UnfitNetwork(f"tier chain produces {produced}, targets are "
+                               f"{tuple(out_shape)}")
 
     def reset_parameters(self, seed: int) -> None:
         """Draw weights uniformly and zero the biases, deterministically.

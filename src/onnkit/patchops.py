@@ -12,12 +12,15 @@ all operands.
 unfold and resample take a tracked variable or any constant value and
 return a Variable; for a constant it is untracked.
 
-Both directions are driven by one precomputed index plan, which keeps them
+Both directions are driven by one precomputed index, which keeps them
 consistent and makes the adjoint pairing a structural fact rather than a
-numerical one.
+numerical one: unfold is one take from the flattened image with a zero
+appended, the slot every out-of-image read names, and fold_array is one
+bincount onto those positions, the zero's own bin dropped.
 
 resample shrinks by max-pooling over k-by-k cells (factor k > 1) or grows
-by nearest-neighbour replication (factor -k), applied per channel.
+by nearest-neighbour replication (factor -k), applied per channel. The
+max-pool picks each cell's winner with autograd's select and gathers it.
 """
 from __future__ import annotations
 
@@ -33,13 +36,14 @@ Array = np.ndarray
 
 
 class UnfoldPlan:
-    """Precomputed gather/scatter indices for one (height, width, kernel) case.
+    """Precomputed gather/scatter index for one (height, width, kernel) case.
 
-    index holds, for every (pixel, patch-slot) pair, the flat source pixel,
-    or -1 where the slot falls outside the image and reads as zero.
+    index [M*N, m*n] holds, for every (pixel, patch-slot) pair, the flat
+    source pixel, or M*N where the slot falls outside the image: the
+    position of the zero that unfold appends to the flattened image.
     """
 
-    __slots__ = ("height", "width", "kernel", "index", "valid", "safe_index")
+    __slots__ = ("height", "width", "kernel", "index")
 
     def __init__(self, height: int, width: int, kernel: tuple[int, int]):
         m, n = kernel
@@ -53,11 +57,8 @@ class UnfoldPlan:
         cols = np.arange(width)[None, :, None, None] + np.arange(n)[None, None, None, :] - pn
         rows, cols = np.broadcast_arrays(rows, cols)
         inside = (rows >= 0) & (rows < height) & (cols >= 0) & (cols < width)
-        flat = rows * width + cols
-        flat = np.where(inside, flat, -1)
+        flat = np.where(inside, rows * width + cols, height * width)
         self.index = flat.reshape(height * width, m * n)
-        self.valid = inside.reshape(height * width, m * n)
-        self.safe_index = np.where(self.valid, self.index, 0)
 
     @property
     def patch_count(self) -> int:
@@ -86,10 +87,8 @@ def unfold_array(y: Array, plan: UnfoldPlan) -> Array:
             f"expected [C, {plan.height}, {plan.width}] image, got {y.shape}"
         )
     flat = y.reshape(y.shape[:-2] + (-1,))
-    out = flat[..., plan.safe_index]
-    # the gather comes out channel-innermost; C order keeps the later
-    # reductions' summation order, and with it every output bit, fixed
-    return np.ascontiguousarray(np.where(plan.valid, out, 0.0))
+    padded = np.concatenate([flat, np.zeros(flat.shape[:-1] + (1,))], axis=-1)
+    return np.take(padded, plan.index, axis=-1)
 
 
 def fold_array(patches: Array, plan: UnfoldPlan) -> Array:
@@ -100,13 +99,14 @@ def fold_array(patches: Array, plan: UnfoldPlan) -> Array:
             f"expected [C, {plan.patch_count}, {plan.patch_size}] patches, "
             f"got {patches.shape}"
         )
-    contrib = np.where(plan.valid, patches, 0.0)
-    contrib = contrib.reshape(-1, plan.patch_count * plan.patch_size)
-    out = np.zeros((contrib.shape[0], plan.height * plan.width), dtype=np.float64)
-    idx = plan.safe_index.reshape(-1)
-    for c in range(contrib.shape[0]):
-        np.add.at(out[c], idx, contrib[c])
-    return out.reshape(patches.shape[:-2] + (plan.height, plan.width))
+    # channel c's pixels are bins c*(M*N+1) ..., its padding slot's bin last
+    pixels = plan.patch_count
+    rows = patches.reshape(-1, pixels * plan.patch_size)
+    bins = np.arange(0, rows.shape[0] * (pixels + 1), pixels + 1)[:, None]
+    sums = np.bincount((bins + plan.index.reshape(-1)).ravel(), weights=rows.ravel(),
+                       minlength=rows.shape[0] * (pixels + 1))
+    return sums.reshape(-1, pixels + 1)[:, :pixels].reshape(
+        patches.shape[:-2] + (plan.height, plan.width))
 
 
 def unfold(y, plan: UnfoldPlan) -> Variable:
@@ -158,21 +158,11 @@ def resample(x, factor: int) -> Variable:
 
 
 def _downsample_variable(x: Variable, k: int) -> Variable:
-    xd = x.value
-    cells = _down_views(xd, k)
-    arg = np.argmax(cells, axis=-1)
-    values = np.take_along_axis(cells, arg[..., None], axis=-1)[..., 0]
-    c, mm, nn = xd.shape
-
-    def grad_fn(g: Array):
-        spread = np.zeros(cells.shape, dtype=np.float64)
-        np.put_along_axis(spread, arg[..., None], g[..., None], axis=-1)
-        spread = spread.reshape(c, mm // k, nn // k, k, k)
-        spread = spread.transpose(0, 1, 3, 2, 4)
-        return (np.ascontiguousarray(spread.reshape(c, mm, nn)),)
-
-    return record((x,), values, grad_fn, selection=arg,
-                  tie_margin=lambda: ag._selection_margin(cells, arg, cells.ndim - 1))
+    c, mm, nn = x.shape
+    rows, cols = np.divmod(ag.select(_down_views(x.value, k), "max"), k)
+    # each cell winner's flat position in its channel's image
+    index = (np.arange(0, mm, k)[:, None] + rows) * nn + np.arange(0, nn, k) + cols
+    return ag.gather(ag.reshape(x, (c, 1, 1, mm * nn)), index)
 
 
 def _upsample_variable(x: Variable, k: int) -> Variable:

@@ -198,17 +198,7 @@ class Trainer:
         self._epoch = 0
         optim.make_optimizer(cfg.optimizer)  # fail early on unknown names
         sample_in, sample_out = split.train.pairs[0]
-        if sample_in.shape[0] != net.in_channels:
-            raise ShapeMismatch(
-                f"data has {sample_in.shape[0]} channels, network expects "
-                f"{net.in_channels}"
-            )
-        flow = net.spatial_flow(sample_in.shape[1:])
-        if (net.out_channels,) + flow[-1] != sample_out.shape:
-            raise ShapeMismatch(
-                f"network produces {(net.out_channels,) + flow[-1]}, targets are "
-                f"{sample_out.shape}"
-            )
+        net.check_fit(sample_in.shape, sample_out.shape)
 
     def _dataset(self, partition: str) -> PairedImageDataset:
         return getattr(self.split, partition)

@@ -75,6 +75,28 @@ def unfold_loop(y, m, n):
     return out
 
 
+def fold_add_at(patches, height, width, m, n):
+    """Scatter-add a [C, M*N, m*n] patch matrix onto [C, M, N] with one
+    sequential np.add.at per channel: every in-image slot, pixel by pixel
+    and slot by slot, adds onto its source pixel in that order; slots
+    outside the image are skipped."""
+    patches = np.asarray(patches, dtype=float)
+    pm, pn = (m - 1) // 2, (n - 1) // 2
+    targets, sources = [], []
+    for i in range(height):
+        for j in range(width):
+            for u in range(m):
+                for v in range(n):
+                    ii, jj = i + u - pm, j + v - pn
+                    if 0 <= ii < height and 0 <= jj < width:
+                        targets.append(ii * width + jj)
+                        sources.append((i * width + j) * m * n + u * n + v)
+    out = np.zeros((patches.shape[0], height * width))
+    for c in range(patches.shape[0]):
+        np.add.at(out[c], targets, patches[c].reshape(-1)[sources])
+    return out.reshape(-1, height, width)
+
+
 def median_pick(values):
     """(value, original index) of the element at sorted position
     floor(n/2), earliest original index on equal values."""

@@ -301,6 +301,38 @@ def test_describe_reports_shapes_and_parameter_count(tmp_path, capsys):
     assert "parameters: 24441" in out
 
 
+REFERENCE = """\
+[network]
+tier_sizes = 12, 32, 1
+kernel_sizes = 21, 7, 3
+operators = 4 / 13 / 2
+sampling_factors = 2, -2, 1
+
+[trainer]
+num_epochs = 1
+
+[data]
+task = identity
+"""
+
+
+def test_describe_reports_tier_costs_and_padding(tmp_path):
+    path = tmp_path / "ref.cfg"
+    path.write_text(REFERENCE)
+    code, out, err = run_cli(["describe", "--config", str(path)])
+    assert (code, err) == (0, [])
+    # 8 bytes and K nodal evaluations per entry of the [C, M*N, m*n] patch
+    # matrix over the tier's input extents 16x16, 8x8 and 16x16
+    assert out[2::2] == [
+        "  per sample: patch matrix 903168 bytes, 1354752 nodal evaluations, "
+        "168 of 256 windows more than half zero padding",
+        "  per sample: patch matrix 301056 bytes, 1204224 nodal evaluations, "
+        "20 of 64 windows more than half zero padding",
+        "  per sample: patch matrix 589824 bytes, 73728 nodal evaluations, "
+        "4 of 256 windows more than half zero padding",
+    ]
+
+
 def write_config(tmp_path, text=BASE):
     path = tmp_path / "run.cfg"
     path.write_text(text)
@@ -706,6 +738,23 @@ def test_data_that_cannot_be_cut_into_folds_is_a_data_error(
     code, lines, err = run_cli(argv + ["--config", str(path)])
     assert (code, lines) == (1, [])
     assert len(err) == 1 and err[0].startswith(f"error: data: {message}")
+
+
+@pytest.mark.parametrize("sampling,message", [
+    ("4", "tier '0': extents (6, 6) not divisible by 4"),
+    ("2", "tier chain produces (1, 3, 3), targets are (1, 6, 6)"),
+], ids=["indivisible-extents", "output-unlike-targets"])
+@pytest.mark.parametrize("command", ["describe", "train", "eval"])
+def test_a_tier_chain_that_does_not_fit_the_data_is_a_network_error(
+        base_out, tmp_path, command, sampling, message):
+    out, _ = base_out
+    path = write_config(tmp_path, BASE.replace(
+        "operators = 2", f"operators = 2\nsampling_factors = {sampling}"))
+    argv = {"describe": ["describe"],
+            "train": ["train", "--out", str(tmp_path / "x")],
+            "eval": ["eval", "--ckpt", str(out / "fold0.ckpt")]}[command]
+    assert run_cli(argv + ["--config", str(path)]) == (
+        1, [], [f"error: network: {message}"])
 
 
 def test_eval_applies_seed_and_folds_to_the_archived_config(base_out):

@@ -14,7 +14,7 @@ from onnkit.patchops import (
 )
 from onnkit.tensor import Tensor
 
-from oracles import unfold_loop
+from oracles import fold_add_at, unfold_loop
 
 
 def test_unfold_center_row_of_identity_image():
@@ -48,6 +48,34 @@ def test_unfold_matches_loop_oracle(shape, kernel):
     assert got.tape is None  # a constant in, an untracked variable out
     assert np.array_equal(got.value, unfold_loop(y, *kernel))
     assert got.value.flags.c_contiguous
+
+
+@pytest.mark.parametrize("shape,kernel", [
+    ((1, 4, 5), (1, 1)),
+    ((2, 5, 4), (3, 3)),
+    ((3, 6, 6), (5, 3)),
+    ((2, 2, 3), (7, 9)),
+    ((1, 1, 4, 5), (3, 3)),
+    ((1, 3, 3, 3), (5, 5)),
+    ((1, 2, 2, 2), (9, 7)),
+])
+def test_patch_path_matches_oracles_bit_for_bit(shape, kernel):
+    rng = np.random.default_rng(sum(shape) * 10 + kernel[0])
+    height, width = shape[-2:]
+    plan = get_plan(height, width, *kernel)
+    y = rng.normal(size=shape)
+    patches = unfold_array(y, plan)
+    assert patches.dtype == np.float64 and patches.flags.c_contiguous
+    assert patches.shape == shape[:-2] + (plan.patch_count, plan.patch_size)
+    assert patches.tobytes() == unfold_loop(y.reshape(-1, height, width),
+                                            *kernel).tobytes()
+    g = rng.normal(size=patches.shape)
+    g[..., ::3] = -0.0  # signed zeros sum as the oracle sums them
+    folded = fold_array(g, plan)
+    assert folded.dtype == np.float64 and folded.shape == shape
+    want = fold_add_at(g.reshape(-1, plan.patch_count, plan.patch_size),
+                       height, width, *kernel)
+    assert folded.tobytes() == want.tobytes()
 
 
 def test_fold_of_ones_counts_patch_membership():
@@ -183,6 +211,23 @@ def test_downsample_gradcheck_clear_of_ties():
     report = gradcheck(f, [x], tol=1e-5)
     assert report.passed
     assert report.tie_coords == 0
+
+
+def test_downsample_logs_its_cell_winners_once_in_gradcheck():
+    rng = np.random.default_rng(31)
+    x = Tensor(rng.uniform(-1.0, 1.0, size=(2, 4, 6)))
+
+    def f(xv):
+        return ag.sum_all(resample(xv, 2))
+
+    _, log = ag._with_selections(f, [ag.as_variable(x)])
+    cells = [[[int(np.argmax(x.data[c, i:i + 2, j:j + 2])) for j in (0, 2, 4)]
+              for i in (0, 2)] for c in (0, 1)]
+    assert len(log) == 1 and log[0][0].tolist() == cells
+    report = gradcheck(f, [x], tol=1e-5)
+    # pinned: the report of a per-cell argmax with a put_along_axis backward
+    assert report.max_rel_err == [1.3977796695918903e-10]
+    assert (report.tie_coords, report.min_margin) == (0, 0.004681607808794341)
 
 
 def test_plan_is_cached():
