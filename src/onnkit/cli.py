@@ -44,14 +44,13 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from . import checkpoint, dataio, patchops
+from . import checkpoint, dataio, optim, patchops
 from .errors import (
     NonFiniteLoss,
     OnnkitError,
     ParseError,
     TooFewSamples,
     UnfitNetwork,
-    UnknownOptimizer,
     ValidationError,
 )
 from .network import OpNetwork, build_network, check_operator_set_gradients
@@ -60,10 +59,10 @@ from .tensor import Tensor
 from .trainer import (
     BUILTIN_METRICS,
     PARTITIONS,
-    MetricSpec,
     Trainer,
     TrainerConfig,
     export_stats,
+    resolve_metrics,
 )
 
 
@@ -309,12 +308,19 @@ def parse_config(text: str,
 
     tr_s = _Section("trainer", sections.get("trainer", {}), TrainerConfig)
     trainer = tr_s.build()
+    if trainer.optimizer not in optim.SUPPORTED:
+        tr_s.fail("optimizer", f"must be one of {', '.join(optim.SUPPORTED)}, "
+                               f"got {trainer.optimizer!r}")
     for key, least in (("num_epochs", 1), ("num_runs", 1), ("batch_size", 1),
-                       ("seed", 0)):
+                       ("seed", 0), ("momentum", 0), ("eps", 0)):
         if getattr(trainer, key) < least:
             tr_s.fail(key, f"must be at least {least}")
-    if trainer.lr <= 0:
-        tr_s.fail("lr", "must be positive")
+    for key in ("beta1", "beta2"):
+        if not 0 <= getattr(trainer, key) < 1:
+            tr_s.fail(key, "must be in [0, 1)")
+    for key in ("lr", "lr_decay"):
+        if getattr(trainer, key) <= 0:
+            tr_s.fail(key, "must be positive")
     metrics: list[tuple[str, str]] = []
     for item in tr_s.items("metrics"):
         name, _, crit = item.partition(":")
@@ -414,14 +420,6 @@ def _splits_from_config(cfg: FullConfig) -> list[dataio.FoldSplit]:
         raise ValidationError(f"data: {e}") from e
 
 
-def metrics_from_config(cfg: FullConfig) -> list[MetricSpec]:
-    out = []
-    for name, crit in cfg.metrics:
-        base = BUILTIN_METRICS[name]
-        out.append(MetricSpec(base.name, base.compute, crit))
-    return out
-
-
 def _fold_seed(master: int, fold: int) -> int:
     ss = np.random.SeedSequence(entropy=master, spawn_key=(fold,))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
@@ -468,7 +466,7 @@ def _train_one_fold(cfg: FullConfig, split, library, seed):
     """The fold's trainer, and the error if every one of its runs diverged."""
     net = network_from_config(cfg, library)
     fold_cfg = replace(cfg.trainer, seed=seed)
-    trainer = Trainer(net, split, fold_cfg, metrics_from_config(cfg),
+    trainer = Trainer(net, split, fold_cfg, resolve_metrics(cfg.metrics),
                       format_config(cfg))
     try:
         trainer.train()
@@ -669,9 +667,6 @@ def main(argv=None) -> int:
         raise _UsageError(f"unknown command {args.command!r}")
     except _UsageError as e:
         print(f"error: usage: {e}", file=sys.stderr)
-        return 1
-    except UnknownOptimizer as e:
-        print(f"error: trainer: {e}", file=sys.stderr)
         return 1
     except UnfitNetwork as e:
         print(f"error: network: {e}", file=sys.stderr)

@@ -92,18 +92,14 @@ class PairedImageDataset:
 
     pairs: list[tuple[Tensor, Tensor]]
     names: list[str] = field(default_factory=list)
-    fold: int | None = None
-    partition: str | None = None
 
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def subset(self, indices, partition: str, fold: int) -> "PairedImageDataset":
+    def subset(self, indices) -> "PairedImageDataset":
         return PairedImageDataset(
             pairs=[self.pairs[i] for i in indices],
             names=[self.names[i] for i in indices] if self.names else [],
-            fold=fold,
-            partition=partition,
         )
 
 
@@ -249,8 +245,8 @@ def partition(dataset: PairedImageDataset, folds: int,
             )
         splits.append(FoldSplit(
             fold=f,
-            train=dataset.subset(train_idx, "train", f),
-            val=dataset.subset(val_idx, "val", f),
-            test=dataset.subset(test_idx, "test", f),
+            train=dataset.subset(train_idx),
+            val=dataset.subset(val_idx),
+            test=dataset.subset(test_idx),
         ))
     return splits

@@ -1,14 +1,16 @@
 """Gradient-descent optimizers: plain SGD with momentum, and Adam.
 
-Both keep one state slot per parameter name and update parameter values
-in place. Updates are:
+Both keep per-parameter state slots keyed by parameter name, and a step
+assigns every parameter a new read-only value. Updates are:
 
   sgd    v <- momentum * v + g        p <- p - lr * v
   adam   m <- b1*m + (1-b1)*g         v <- b2*v + (1-b2)*g^2
          p <- p - lr * m/(1-b1^t) / (sqrt(v/(1-b2^t)) + eps)
 
 State round-trips bitwise through state_entries and restore_from_entries
-(the archive entries a trainer checkpoint stores).
+(the archive entries a trainer checkpoint stores): opt/kind, opt/hyper
+(the hyperparameters in constructor order), opt/<slot>/<parameter> for
+each slot, and for Adam the step count opt/step.
 """
 from __future__ import annotations
 
@@ -19,8 +21,6 @@ import numpy as np
 from .autograd import Parameter
 from .errors import CorruptState, NonFiniteGradient, UnknownOptimizer
 from .tensor import Tensor
-
-SUPPORTED = ("sgd", "adam")
 
 
 def _grad_array(grads: Mapping[str, Tensor], param: Parameter) -> np.ndarray:
@@ -33,25 +33,24 @@ def _grad_array(grads: Mapping[str, Tensor], param: Parameter) -> np.ndarray:
     return arr
 
 
-class SGD:
-    """Stochastic gradient descent with classical momentum."""
+class Optimizer:
+    """The state an optimizer keeps and archives. A subclass names its
+    hyperparameters with their defaults, its per-parameter slots and
+    whether it counts steps, and writes its own step."""
 
-    name = "sgd"
+    name: str
+    defaults: dict[str, float]
+    slots: tuple[str, ...]
+    counts_steps = False
 
-    def __init__(self, lr: float = 0.01, momentum: float = 0.9):
-        self.lr = float(lr)
-        self.momentum = float(momentum)
-        self.velocity: dict[str, np.ndarray] = {}
-
-    def step(self, params: Iterable[Parameter], grads: Mapping[str, Tensor]) -> None:
-        for p in params:
-            g = _grad_array(grads, p)
-            v = self.velocity.get(p.name)
-            if v is None:
-                v = np.zeros(p.value.shape, dtype=np.float64)
-            v = self.momentum * v + g
-            self.velocity[p.name] = v
-            p.assign(Tensor._wrap(p.value.data - self.lr * v))
+    def __init__(self, **hyper: float):
+        unknown = sorted(hyper.keys() - self.defaults.keys())
+        if unknown:
+            raise TypeError(f"{self.name} has no hyperparameter {unknown[0]!r}")
+        for key, default in self.defaults.items():
+            setattr(self, key, float(hyper.get(key, default)))
+        self.state: dict[str, dict[str, np.ndarray]] = {s: {} for s in self.slots}
+        self.step_count = 0
 
     def scale_lr(self, factor: float) -> None:
         self.lr *= factor
@@ -59,109 +58,95 @@ class SGD:
     def state_entries(self) -> dict[str, object]:
         entries: dict[str, object] = {
             "opt/kind": self.name.encode(),
-            "opt/hyper": np.array([self.lr, self.momentum]),
+            "opt/hyper": np.array([getattr(self, k) for k in self.defaults]),
         }
-        for name, v in self.velocity.items():
-            entries[f"opt/velocity/{name}"] = v
+        if self.counts_steps:
+            entries["opt/step"] = np.array([self.step_count], dtype=np.uint64)
+        for slot, values in self.state.items():
+            for name, value in values.items():
+                entries[f"opt/{slot}/{name}"] = value
         return entries
 
     @classmethod
-    def from_entries(cls, entries: Mapping[str, object]) -> "SGD":
-        if "opt/hyper" not in entries:
-            raise CorruptState("sgd state has no opt/hyper entry")
+    def from_entries(cls, entries: Mapping[str, object]) -> "Optimizer":
+        needed = ("opt/hyper", "opt/step") if cls.counts_steps else ("opt/hyper",)
+        for required in needed:
+            if required not in entries:
+                raise CorruptState(f"{cls.name} state has no {required} entry")
         hyper = np.asarray(entries["opt/hyper"]).reshape(-1)
-        if hyper.size != 2:
-            raise CorruptState(f"sgd hyperparameters need 2 values, found {hyper.size}")
-        opt = cls(lr=float(hyper[0]), momentum=float(hyper[1]))
-        prefix = "opt/velocity/"
-        for name, value in entries.items():
-            if name.startswith(prefix):
-                opt.velocity[name[len(prefix):]] = np.array(value, dtype=np.float64)
+        if hyper.size != len(cls.defaults):
+            raise CorruptState(f"{cls.name} hyperparameters need "
+                               f"{len(cls.defaults)} values, found {hyper.size}")
+        opt = cls(**dict(zip(cls.defaults, hyper.tolist())))
+        if cls.counts_steps:
+            opt.step_count = int(np.asarray(entries["opt/step"]).reshape(-1)[0])
+        for slot, values in opt.state.items():
+            prefix = f"opt/{slot}/"
+            for name, value in entries.items():
+                if name.startswith(prefix):
+                    values[name[len(prefix):]] = np.array(value, dtype=np.float64)
         return opt
 
 
-class Adam:
+class SGD(Optimizer):
+    """Stochastic gradient descent with classical momentum."""
+
+    name = "sgd"
+    defaults = {"lr": 0.01, "momentum": 0.9}
+    slots = ("velocity",)
+
+    def step(self, params: Iterable[Parameter], grads: Mapping[str, Tensor]) -> None:
+        velocity = self.state["velocity"]
+        for p in params:
+            g = _grad_array(grads, p)
+            v = velocity.get(p.name)
+            if v is None:
+                v = np.zeros(p.value.shape, dtype=np.float64)
+            v = self.momentum * v + g
+            velocity[p.name] = v
+            p.assign(Tensor._wrap(p.value.data - self.lr * v))
+
+
+class Adam(Optimizer):
     """Adam with bias-corrected first and second moments."""
 
     name = "adam"
-
-    def __init__(self, lr: float = 0.001, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
-        self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
-        self.step_count = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+    defaults = {"lr": 0.001, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
+    slots = ("m", "v")
+    counts_steps = True
 
     def step(self, params: Iterable[Parameter], grads: Mapping[str, Tensor]) -> None:
         self.step_count += 1
         t = self.step_count
+        first, second = self.state["m"], self.state["v"]
         for p in params:
             g = _grad_array(grads, p)
-            m = self.m.get(p.name)
-            v = self.v.get(p.name)
+            m = first.get(p.name)
+            v = second.get(p.name)
             if m is None:
                 m = np.zeros(p.value.shape, dtype=np.float64)
                 v = np.zeros(p.value.shape, dtype=np.float64)
             m = self.beta1 * m + (1.0 - self.beta1) * g
             v = self.beta2 * v + (1.0 - self.beta2) * g * g
-            self.m[p.name] = m
-            self.v[p.name] = v
+            first[p.name] = m
+            second[p.name] = v
             m_hat = m / (1.0 - self.beta1 ** t)
             v_hat = v / (1.0 - self.beta2 ** t)
             p.assign(Tensor._wrap(p.value.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)))
 
-    def scale_lr(self, factor: float) -> None:
-        self.lr *= factor
 
-    def state_entries(self) -> dict[str, object]:
-        entries: dict[str, object] = {
-            "opt/kind": self.name.encode(),
-            "opt/hyper": np.array([self.lr, self.beta1, self.beta2, self.eps]),
-            "opt/step": np.array([self.step_count], dtype=np.uint64),
-        }
-        for name, m in self.m.items():
-            entries[f"opt/m/{name}"] = m
-        for name, v in self.v.items():
-            entries[f"opt/v/{name}"] = v
-        return entries
-
-    @classmethod
-    def from_entries(cls, entries: Mapping[str, object]) -> "Adam":
-        if "opt/hyper" not in entries or "opt/step" not in entries:
-            raise CorruptState("adam state needs opt/hyper and opt/step entries")
-        hyper = np.asarray(entries["opt/hyper"]).reshape(-1)
-        if hyper.size != 4:
-            raise CorruptState(f"adam hyperparameters need 4 values, found {hyper.size}")
-        opt = cls(lr=float(hyper[0]), beta1=float(hyper[1]),
-                  beta2=float(hyper[2]), eps=float(hyper[3]))
-        step = np.asarray(entries["opt/step"]).reshape(-1)
-        opt.step_count = int(step[0])
-        for name, value in entries.items():
-            if name.startswith("opt/m/"):
-                opt.m[name[len("opt/m/"):]] = np.array(value, dtype=np.float64)
-            elif name.startswith("opt/v/"):
-                opt.v[name[len("opt/v/"):]] = np.array(value, dtype=np.float64)
-        return opt
-
-
-Optimizer = SGD | Adam
+OPTIMIZERS: dict[str, type[Optimizer]] = {cls.name: cls for cls in (SGD, Adam)}
+SUPPORTED = tuple(OPTIMIZERS)
 
 
 def make_optimizer(name: str, **hyper) -> Optimizer:
-    """Build an optimizer by name; unknown names list the supported ones."""
-    if name == "sgd":
-        allowed = {k: v for k, v in hyper.items() if k in ("lr", "momentum")}
-        return SGD(**allowed)
-    if name == "adam":
-        allowed = {k: v for k, v in hyper.items()
-                   if k in ("lr", "beta1", "beta2", "eps")}
-        return Adam(**allowed)
-    raise UnknownOptimizer(
-        f"unknown optimizer {name!r}; supported: {', '.join(SUPPORTED)}"
-    )
+    """Build an optimizer by name from the keywords of `hyper` it takes,
+    ignoring the rest; unknown names list the supported ones."""
+    cls = OPTIMIZERS.get(name)
+    if cls is None:
+        raise UnknownOptimizer(
+            f"unknown optimizer {name!r}; supported: {', '.join(SUPPORTED)}")
+    return cls(**{k: v for k, v in hyper.items() if k in cls.defaults})
 
 
 def restore_from_entries(entries: Mapping[str, object]) -> Optimizer:
@@ -170,8 +155,6 @@ def restore_from_entries(entries: Mapping[str, object]) -> Optimizer:
         raise CorruptState("optimizer state has no opt/kind entry")
     if isinstance(kind, bytes):
         kind = kind.decode("utf-8", errors="replace")
-    if kind == "sgd":
-        return SGD.from_entries(entries)
-    if kind == "adam":
-        return Adam.from_entries(entries)
-    raise CorruptState(f"optimizer state names unknown kind {kind!r}")
+    if kind not in OPTIMIZERS:
+        raise CorruptState(f"optimizer state names unknown kind {kind!r}")
+    return OPTIMIZERS[kind].from_entries(entries)

@@ -96,6 +96,19 @@ LOSS_METRIC = MetricSpec("loss", lambda p, t: float(((p.data - t.data) ** 2).mea
 BUILTIN_METRICS = {"snr": MetricSpec("snr", calc_snr, "max")}
 
 
+def resolve_metrics(pairs, supplied=()) -> list[MetricSpec]:
+    """The MetricSpecs of (name, criterion) pairs: each pair's criterion
+    with the compute function of the supplied, else the built-in, spec of
+    its name."""
+    known = {m.name: m for m in (LOSS_METRIC, *BUILTIN_METRICS.values(),
+                                 *supplied)}
+    for name, _ in pairs:
+        if name not in known:
+            raise CorruptState(f"metric {name!r} is not built in; pass its "
+                               f"MetricSpec")
+    return [MetricSpec(name, known[name].compute, crit) for name, crit in pairs]
+
+
 @dataclass
 class TrainerConfig:
     """Knobs of one training session."""
@@ -125,21 +138,23 @@ class BestEntry:
 
 
 class TrainingRecord:
-    """Per-epoch series, per-image times and best entries of a session."""
+    """Per-epoch series, per-image times and run status of a session,
+    for each of its partitions and metrics."""
 
-    def __init__(self, partitions: list[str], metric_names: list[str],
-                 fold: int = 0, criteria: dict[str, str] | None = None):
+    def __init__(self, partitions: list[str], metrics: list[MetricSpec],
+                 fold: int = 0):
         self.partitions = partitions
-        self.metric_names = metric_names
+        self.metrics = metrics
         self.fold = fold
-        self.criteria = criteria or {
-            m: ("min" if m == "loss" else "max") for m in metric_names
-        }
         self.series: dict[tuple[str, str], list[list[float]]] = {
-            (p, m): [] for p in partitions for m in metric_names
+            (p, m.name): [] for p in partitions for m in metrics
         }
         self.times: dict[str, list[list[float]]] = {p: [] for p in partitions}
         self.run_status: list[str] = []
+
+    @property
+    def metric_names(self) -> list[str]:
+        return [m.name for m in self.metrics]
 
     def start_run(self) -> None:
         for key in self.series:
@@ -184,13 +199,11 @@ class Trainer:
         self.net = net
         self.split = split
         self.cfg = cfg
-        self.metrics = [LOSS_METRIC] + [m for m in (metrics or [])
-                                        if m.name != "loss"]
         self.config_text = config_text
-        self.partitions = [p for p in PARTITIONS if len(self._dataset(p)) > 0]
-        self.record = TrainingRecord(self.partitions,
-                                     [m.name for m in self.metrics], split.fold,
-                                     {m.name: m.criterion for m in self.metrics})
+        self.record = TrainingRecord(
+            [p for p in PARTITIONS if len(self._dataset(p)) > 0],
+            [LOSS_METRIC] + [m for m in metrics or () if m.name != "loss"],
+            split.fold)
         self.best: dict[tuple[str, str], BestEntry] = {}
         self.optimizer: optim.Optimizer | None = None
         self._rng: np.random.Generator | None = None
@@ -199,6 +212,10 @@ class Trainer:
         optim.make_optimizer(cfg.optimizer)  # fail early on unknown names
         sample_in, sample_out = split.train.pairs[0]
         net.check_fit(sample_in.shape, sample_out.shape)
+
+    @property
+    def partitions(self) -> list[str]:
+        return self.record.partitions
 
     def _dataset(self, partition: str) -> PairedImageDataset:
         return getattr(self.split, partition)
@@ -210,11 +227,11 @@ class Trainer:
         data = self._dataset(partition)
         x, t = _stack_pairs(data)
         pred = network_forward(self.net, x)
-        return {m.name: m.compute(pred, t) for m in self.metrics}
+        return {m.name: m.compute(pred, t) for m in self.record.metrics}
 
     def _update_best(self, partition: str, values: dict[str, float],
                      run: int, epoch: int) -> None:
-        for m in self.metrics:
+        for m in self.record.metrics:
             key = (partition, m.name)
             incumbent = self.best.get(key)
             if incumbent is None or m.improves(values[m.name], incumbent.value):
@@ -259,9 +276,8 @@ class Trainer:
         self._run = run
         self._epoch = 0
         self.net.reset_parameters(self.cfg.seed ^ run)
-        self.optimizer = optim.make_optimizer(
-            self.cfg.optimizer, lr=self.cfg.lr, momentum=self.cfg.momentum,
-            beta1=self.cfg.beta1, beta2=self.cfg.beta2, eps=self.cfg.eps)
+        self.optimizer = optim.make_optimizer(self.cfg.optimizer,
+                                              **asdict(self.cfg))
         self._rng = _rng_for_run(self.cfg.seed, run)
         self.record.start_run()
 
@@ -323,7 +339,7 @@ class Trainer:
         entries["trainer/config"] = json.dumps(asdict(self.cfg),
                                                sort_keys=True).encode()
         entries["trainer/metrics"] = json.dumps(
-            [[m.name, m.criterion] for m in self.metrics]).encode()
+            [[m.name, m.criterion] for m in self.record.metrics]).encode()
         if self.config_text is not None:
             entries["config/text"] = self.config_text.encode()
         for p in self.net.parameters():
@@ -362,9 +378,13 @@ class Trainer:
 
         `net` must have the parameters the archive holds: the same names,
         none missing and none extra (CorruptState), the same shapes
-        (ShapeMismatch). Metric compute functions cannot live in the
-        archive; named builtin metrics are reattached automatically and
-        custom ones must be passed back in through `metrics`.
+        (ShapeMismatch). Each optimizer slot holds every parameter, in
+        its shape, or none (CorruptState). `split` must have the nonempty
+        partitions the archive was trained on (CorruptState).
+        Metric compute functions cannot live in the archive: each
+        archived metric keeps its archived criterion and takes its
+        compute function from the spec of its name in `metrics`, else
+        from the builtin one.
         """
         entries = path if isinstance(path, dict) else checkpoint.load(path)
         for required in ("trainer/config", "trainer/run", "trainer/epoch"):
@@ -373,28 +393,15 @@ class Trainer:
         params = {p.name: p for p in net.parameters()}
         _check_parameter_names(entries, "param/", params)
         cfg = TrainerConfig(**json.loads(entries["trainer/config"].decode()))
-        metric_info = json.loads(entries.get("trainer/metrics", b"[]").decode())
-        supplied = {m.name: m for m in metrics or []}
-        restored_metrics = []
-        for name, criterion in metric_info:
-            if name == "loss":
-                continue
-            if name in supplied:
-                restored_metrics.append(supplied[name])
-            elif name in BUILTIN_METRICS:
-                restored_metrics.append(BUILTIN_METRICS[name])
-            else:
-                raise CorruptState(
-                    f"archive references metric {name!r}; pass its MetricSpec "
-                    f"to load()"
-                )
+        archived = json.loads(entries.get("trainer/metrics", b"[]").decode())
         config_text = entries.get("config/text")
-        trainer = cls(net, split, cfg, restored_metrics,
+        trainer = cls(net, split, cfg, resolve_metrics(archived, metrics or ()),
                       config_text.decode() if config_text else None)
         for name, p in params.items():
             p.assign(Tensor(entries[f"param/{name}"]))
         if "opt/kind" in entries:
             trainer.optimizer = optim.restore_from_entries(entries)
+            _check_optimizer_slots(entries, trainer.optimizer, params)
         if "rng/state" in entries:
             state = json.loads(entries["rng/state"].decode())
             rng = _rng_for_run(cfg.seed, 0)
@@ -402,9 +409,7 @@ class Trainer:
             trainer._rng = rng
         trainer._run = int(np.asarray(entries["trainer/run"]).reshape(-1)[0])
         trainer._epoch = int(np.asarray(entries["trainer/epoch"]).reshape(-1)[0])
-        trainer.record = _record_from_entries(entries, trainer.partitions,
-                                              [m.name for m in trainer.metrics],
-                                              split.fold)
+        _restore_record(trainer.record, entries)
         trainer.best = _bests_from_entries(entries)
         for partition, metric in trainer.best:
             _check_parameter_names(entries, f"best/{partition}/{metric}/param/",
@@ -423,13 +428,30 @@ def _check_parameter_names(entries: dict, prefix: str, names) -> None:
                 f"parameter entry {prefix + name!r} is only in the {where}")
 
 
-def _record_from_entries(entries: dict, partitions: list[str],
-                         metric_names: list[str], fold: int) -> TrainingRecord:
-    stored = json.loads(entries.get("trainer/partitions", b"null").decode())
-    if stored:
-        partitions = stored
-    criteria = dict(json.loads(entries.get("trainer/metrics", b"[]").decode()))
-    record = TrainingRecord(partitions, metric_names, fold, criteria or None)
+def _check_optimizer_slots(entries: dict, optimizer: optim.Optimizer,
+                           params: dict) -> None:
+    """Raise CorruptState naming the first entry of an optimizer slot
+    that lacks a parameter, names none or has another shape than its
+    parameter; an empty slot (no step taken yet) passes."""
+    for slot, values in optimizer.state.items():
+        if values:
+            _check_parameter_names(entries, f"opt/{slot}/", params)
+        for name, value in values.items():
+            shape = params[name].value.shape
+            if value.shape != shape:
+                raise CorruptState(f"entry 'opt/{slot}/{name}' has shape "
+                                   f"{value.shape}, its parameter {shape}")
+
+
+def _restore_record(record: TrainingRecord, entries: dict) -> None:
+    """Fill a fresh record with the archive's run status and series."""
+    stored = (json.loads(entries.get("trainer/partitions", b"null").decode())
+              or record.partitions)
+    for part in dict.fromkeys(record.partitions + stored):
+        if (part in stored) != (part in record.partitions):
+            where = "archive" if part in stored else "split"
+            raise CorruptState(f"the {part} partition is only in the {where}: "
+                               f"the archive was trained on {', '.join(stored)}")
     record.run_status = json.loads(entries.get("trainer/status", b"[]").decode())
     runs = len(record.run_status)
     for r in range(runs):
@@ -438,11 +460,10 @@ def _record_from_entries(entries: dict, partitions: list[str],
             data = entries.get(f"stats/{part}/{metric}/run{r}")
             record.series[key].append(
                 [] if data is None else [float(v) for v in np.asarray(data)])
-        for part in partitions:
+        for part in record.partitions:
             data = entries.get(f"stats/{part}/per_image_time_s/run{r}")
             record.times[part].append(
                 [] if data is None else [float(v) for v in np.asarray(data)])
-    return record
 
 
 def _bests_from_entries(entries: dict) -> dict[tuple[str, str], BestEntry]:
@@ -477,7 +498,8 @@ def _fmt(value: float) -> str:
 def best_series_value(record: TrainingRecord, partition: str,
                       metric: str) -> float:
     """Best value of one metric series across all runs and epochs."""
-    pick = max if record.criteria.get(metric, "max") == "max" else min
+    spec = next(m for m in record.metrics if m.name == metric)
+    pick = max if spec.criterion == "max" else min
     values = [v for run in record.series[(partition, metric)] for v in run]
     if not values:
         return math.nan

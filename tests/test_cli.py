@@ -234,9 +234,13 @@ def full_configs(draw):
     trainer = TrainerConfig(
         num_epochs=draw(st.integers(1, 10**6)),
         num_runs=draw(st.integers(1, 99)),
-        optimizer=draw(_names), lr=draw(_floats.filter(lambda v: v > 0)),
-        momentum=draw(_floats), beta1=draw(_floats), beta2=draw(_floats),
-        eps=draw(_floats), lr_decay=draw(_floats),
+        optimizer=draw(st.sampled_from(["sgd", "adam"])),
+        lr=draw(_floats.filter(lambda v: v > 0)),
+        momentum=draw(st.floats(0.0, None)),
+        beta1=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        beta2=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        eps=draw(st.floats(0.0, None)),
+        lr_decay=draw(_floats.filter(lambda v: v > 0)),
         batch_size=draw(st.integers(1, 512)),
         seed=draw(st.integers(0, 2**64)), model_name=draw(_names))
     task = draw(st.sampled_from(["identity", "blur-inverse", "nonlinear-map",
@@ -652,6 +656,46 @@ def test_unknown_optimizer_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: trainer:")
     assert "cgd" in err and "sgd" in err and "adam" in err
+
+
+# torch.optim's domains, plus a multiplicative decay that must keep the
+# learning rate positive
+@pytest.mark.parametrize("line,message", [
+    ("optimizer = cgd", "optimizer must be one of sgd, adam, got 'cgd'"),
+    ("beta1 = 1", "beta1 must be in [0, 1)"),
+    ("beta2 = -0.5", "beta2 must be in [0, 1)"),
+    ("momentum = -0.1", "momentum must be at least 0"),
+    ("eps = -1e-8", "eps must be at least 0"),
+    ("lr_decay = -1", "lr_decay must be positive"),
+    ("lr_decay = 0", "lr_decay must be positive"),
+])
+@pytest.mark.parametrize("command", ["describe", "gradcheck", "train", "eval"])
+def test_optimizer_settings_outside_their_domains_are_config_errors(
+        base_out, tmp_path, command, line, message):
+    out, _ = base_out
+    lines = [k for k in BASE.splitlines()
+             if k.partition("=")[0].strip() != line.partition("=")[0].strip()]
+    at = lines.index("[trainer]") + 1
+    lines.insert(at, line)
+    path = write_config(tmp_path, "\n".join(lines) + "\n")
+    argv = {"train": ["--out", str(tmp_path / "x")],
+            "eval": ["--ckpt", str(out / "fold0.ckpt")]}.get(command, [])
+    assert run_cli([command, "--config", str(path), *argv]) == (
+        1, [], [f"error: trainer: line {at + 1}: {message}"])
+
+
+def test_eval_with_an_added_partition_is_a_runtime_error(base_out, tmp_path):
+    # the archive was trained without a val partition; this config has one
+    out, _ = base_out
+    no_val = write_config(tmp_path,
+                          BASE.replace("val_fraction = 0.25", "val_fraction = 0"))
+    assert main(["train", "--config", str(no_val),
+                 "--out", str(tmp_path / "no_val")]) == 0
+    with_val = write_config(tmp_path)
+    assert run_cli(["eval", "--ckpt", str(tmp_path / "no_val" / "fold0.ckpt"),
+                    "--config", str(with_val)]) == (
+        2, [], ["error: runtime: the val partition is only in the split: the "
+                "archive was trained on train, test"])
 
 
 def test_usage_errors_exit_one(capsys):

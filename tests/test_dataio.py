@@ -179,7 +179,6 @@ def test_partition_val_fraction():
         assert len(s.test) == 5
         assert len(s.val) == 2
         assert len(s.train) == 3
-        assert s.val.partition == "val"
 
 
 def test_single_fold_has_empty_test_set():

@@ -300,6 +300,88 @@ def test_loaded_trainer_preserves_bests_and_config_text(tmp_path):
     assert again.record.series == trainer.record.series
 
 
+def test_resume_keeps_an_archived_builtin_metric_criterion(tmp_path):
+    # metrics = snr:min in a config: load restores the criterion from the
+    # archive, not from the builtin spec's max
+    split = identity_split()
+    snr_min = MetricSpec("snr", calc_snr, "min")
+    base = dict(num_runs=1, optimizer="adam", lr=0.01, seed=4)
+    straight = Trainer(conv_net(), split, TrainerConfig(num_epochs=6, **base),
+                       metrics=[snr_min])
+    straight.train()
+    halfway = Trainer(conv_net(), split, TrainerConfig(num_epochs=3, **base),
+                      metrics=[snr_min])
+    halfway.train()
+    path = tmp_path / "half.ckpt"
+    halfway.save_all(path)
+
+    resumed = Trainer.load(path, conv_net(), split)
+    resumed.cfg = dataclasses.replace(resumed.cfg, num_epochs=6)
+    resumed.train()
+    assert resumed.record.series == straight.record.series
+    assert set(resumed.best) == set(straight.best)
+    for key, want in straight.best.items():
+        got = resumed.best[key]
+        assert (got.value, got.run, got.epoch) == (want.value, want.run,
+                                                   want.epoch), key
+    assert best_series_value(resumed.record, "train", "snr") == min(
+        resumed.record.series[("train", "snr")][0])
+
+
+@pytest.mark.parametrize("optimizer,tamper,entry", [
+    ("adam", lambda e: e.pop("opt/m/0/0/weights"), "opt/m/0/0/weights"),
+    ("adam", lambda e: e.update({"opt/m/zzz": np.zeros(3)}), "opt/m/zzz"),
+    ("adam", lambda e: e.update({"opt/m/0/0/weights": np.zeros(3)}),
+     "opt/m/0/0/weights"),
+    ("sgd", lambda e: e.pop("opt/velocity/0/0/bias"), "opt/velocity/0/0/bias"),
+])
+def test_load_names_an_optimizer_entry_unlike_the_network(
+        tmp_path, optimizer, tamper, entry):
+    trainer = Trainer(conv_net(), identity_split(),
+                      TrainerConfig(num_epochs=1, optimizer=optimizer))
+    trainer.train()
+    path = tmp_path / "t.ckpt"
+    trainer.save_all(path)
+    entries = checkpoint.load(path)
+    tamper(entries)
+    with pytest.raises(CorruptState, match=f"'{entry}'"):
+        Trainer.load(entries, conv_net(), identity_split())
+
+
+def test_load_accepts_empty_optimizer_slots(tmp_path):
+    # saved before the first step: the optimizer holds no slot entries
+    trainer = Trainer(conv_net(), identity_split(),
+                      TrainerConfig(num_epochs=1))
+    trainer._start_run(0)
+    path = tmp_path / "t.ckpt"
+    trainer.save_all(path)
+    assert not [k for k in checkpoint.load(path)
+                if k.startswith(("opt/m/", "opt/v/"))]
+    loaded = Trainer.load(path, conv_net(), identity_split())
+    assert loaded.optimizer.state == {"m": {}, "v": {}}
+
+
+@pytest.mark.parametrize("saved_val,loaded_val,message", [
+    (0.0, 0.25, "the val partition is only in the split: the archive was "
+                "trained on train, test"),
+    (0.25, 0.0, "the val partition is only in the archive: the archive was "
+                "trained on train, val, test"),
+])
+def test_load_into_a_split_with_other_partitions_names_the_partition(
+        tmp_path, saved_val, loaded_val, message):
+    ds = make_synthetic_task("identity", count=8, size=4, seed=0)
+    split_at = {v: partition(ds, folds=2, val_fraction=v, seed=1)[0]
+                for v in (saved_val, loaded_val)}
+    trainer = Trainer(conv_net(), split_at[saved_val],
+                      TrainerConfig(num_epochs=1))
+    trainer.train()
+    path = tmp_path / "t.ckpt"
+    trainer.save_all(path)
+    with pytest.raises(CorruptState) as err:
+        Trainer.load(path, conv_net(), split_at[loaded_val])
+    assert str(err.value) == message
+
+
 def two_tier_net():
     idx = LIB.set_by_names("mul", "sum", "identity").index
     return build_network(1, [1, 1], [3, 3], [[idx], [idx]], [1, 1],
