@@ -12,14 +12,14 @@ A tape lives for one backward: backward returns every leaf's gradient and
 releases the tape, after which using it raises DetachedRoot. Ops on
 untracked inputs record nothing, and grad closures hold no Variables.
 
-Selection-style operations (max, median, clamp, and select, which picks
-max or median winners of a constant array for gather to tape, as the
-selection pools and the max downsample do) hand their winners, and a
-thunk for how close those sit to a tie (the margin), to the selection
-log that only gradcheck installs; tapes hold only what backward needs.
-gradcheck computes the margins of its nominal pass and runs its probes on
-constants: a probe that picks other winners than the nominal pass sits
-on a kink, and counts as a tie rather than a failure.
+Selection-style operations (clamp, and select, which picks the max or
+median winners along a constant array's trailing axis for gather to
+take, as the selection pools and the max downsample do) hand their
+winners, and a thunk for how close those sit to a tie (the margin), to
+the selection log that only gradcheck installs; tapes hold only what
+backward needs. gradcheck computes the margins of its nominal pass and
+runs its probes on constants: a probe that picks other winners than the
+nominal pass sits on a kink, and counts as a tie rather than a failure.
 """
 from __future__ import annotations
 
@@ -33,12 +33,13 @@ import numpy as np
 
 from .errors import (
     DetachedRoot,
+    EmptyAxis,
     NonFiniteValue,
     NonScalarRoot,
     ShapeMismatch,
     SizeMismatch,
 )
-from .tensor import Shape, Tensor, _normalize_axis, _reduce_raw
+from .tensor import Shape, Tensor
 
 Array = np.ndarray
 GradFn = Callable[[Array], Sequence[Array | None]]
@@ -227,16 +228,16 @@ def _unbroadcast(grad: Array, shape: Shape) -> Array:
     return grad
 
 
-def _selection_margin(arr: Array, arg: Array, axis: int) -> float:
+def _selection_margin(arr: Array, arg: Array) -> float:
     """Smallest nonzero distance between winners and other entries.
 
     Entries exactly equal to the winner are skipped: a flat plateau does
     not move the selected value, and genuine ambiguity among them is
     caught separately by comparing winner indices between evaluations.
     """
-    if arr.shape[axis] <= 1:
+    if arr.shape[-1] <= 1:
         return math.inf
-    sel = np.take_along_axis(arr, np.expand_dims(arg, axis), axis=axis)
+    sel = np.take_along_axis(arr, np.expand_dims(arg, -1), axis=-1)
     diff = np.abs(arr - sel)
     diff = np.where(diff == 0.0, np.inf, diff)
     return float(diff.min())
@@ -341,55 +342,64 @@ def clamp(x, low: float, high: float) -> Variable:
 
 def reduce_sum(x, axis: int) -> Variable:
     x = as_variable(x)
-    axis = _normalize_axis(axis, len(x.shape))
-    values, _ = _reduce_raw("sum", x.value, axis)
+    ndim = len(x.shape)
+    if not -ndim <= axis < ndim:
+        raise ShapeMismatch(f"axis {axis} out of range for rank {ndim}")
+    axis %= ndim
+    if x.shape[axis] == 0:
+        raise EmptyAxis(f"cannot reduce axis {axis} with extent 0")
     in_shape = x.shape
 
     def grad_fn(g: Array):
         return (np.broadcast_to(np.expand_dims(g, axis), in_shape),)
 
-    return record((x,), values, grad_fn)
+    return record((x,), x.value.sum(axis=axis), grad_fn)
 
 
-def _reduce_select(x, axis: int, kind: str, scale: float) -> Variable:
-    x = as_variable(x)
-    axis = _normalize_axis(axis, len(x.shape))
-    xd = x.value
-    values, arg = _reduce_raw(kind, xd, axis)
-    in_shape = x.shape
+def _median_pick(arr: Array) -> Array:
+    """Per row of the trailing axis, the index of the element a stable
+    sort would place at position k = floor(extent/2).
 
-    def grad_fn(g: Array):
-        out = np.zeros(in_shape, dtype=np.float64)
-        np.put_along_axis(out, np.expand_dims(arg, axis),
-                          np.expand_dims(g * scale, axis), axis=axis)
-        return (out,)
-
-    _log_selection(arg, lambda: _selection_margin(xd, arg, axis))
-    return record((x,), values if scale == 1.0 else values * scale, grad_fn)
+    Only the k-th value v of each row is sorted out; the winner is then
+    recovered exactly as the (number of entries equal to v among the
+    first k sorted ones)-th entry equal to v in index order. "Equal"
+    follows sort order: -0.0 ties with 0.0 and NaNs, sorted last, tie
+    with each other.
+    """
+    n = arr.shape[-1]
+    k = n // 2
+    flat = arr.reshape(-1, n)
+    ordered = np.sort(flat, axis=1)
+    v = ordered[:, k:k + 1]
+    hits = flat == v
+    before = ordered[:, :k] == v
+    if np.isnan(v).any():
+        hits |= np.isnan(flat) & np.isnan(v)
+        before |= np.isnan(ordered[:, :k]) & np.isnan(v)
+    counts = hits.sum(axis=1)
+    starts = np.cumsum(counts) - counts
+    pos = np.flatnonzero(hits)[starts + before.sum(axis=1)]
+    return (pos - np.arange(0, pos.size * n, n)).reshape(arr.shape[:-1])
 
 
 def select(values: Array, kind: str) -> Array:
-    """The winners of a "max" or "median" reduction of a constant array's
-    trailing axis, found and logged for gradcheck as reduce_max and
-    reduce_median find and log theirs."""
-    axis = values.ndim - 1
-    _, arg = _reduce_raw(kind, values, axis)
-    _log_selection(arg, lambda: _selection_margin(values, arg, axis))
+    """The winners along a constant array's trailing axis, for gather to
+    take: per row, the index of the maximum ("max", ties to the lowest
+    index) or of the median ("median", the element at sorted position
+    floor(extent/2), equal values ordered by index as a stable sort
+    would). The winners and their tie margin go to gradcheck's log.
+    """
+    if not values.shape or values.shape[-1] == 0:
+        raise EmptyAxis(f"cannot select along the trailing axis of shape "
+                        f"{values.shape}")
+    if kind == "median":
+        arg = _median_pick(values)
+    elif kind == "max":
+        arg = np.argmax(values, axis=-1)
+    else:
+        raise ValueError(f"unknown selection {kind!r}")
+    _log_selection(arg, lambda: _selection_margin(values, arg))
     return arg
-
-
-def reduce_max(x, axis: int, scale: float = 1.0) -> Variable:
-    """Maximum along one axis, times a constant. Gradient flows only to
-    the winning element; ties resolve to the lowest index."""
-    return _reduce_select(x, axis, "max", scale)
-
-
-def reduce_median(x, axis: int, scale: float = 1.0) -> Variable:
-    """Median along one axis, times a constant. The median is the element
-    at sorted position floor(extent/2), equal values ordered by index as a
-    stable sort would (found without one), so the gradient flows to
-    exactly one input element."""
-    return _reduce_select(x, axis, "median", scale)
 
 
 def sum_all(x) -> Variable:

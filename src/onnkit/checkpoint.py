@@ -10,9 +10,14 @@ Dtype tags: 0 = float64 array, 1 = uint64 array, 2 = raw bytes (stored
 with rank 1 and the byte count as the extent). Entries are written sorted
 by name, so the same state always produces byte-identical files. Names
 are namespaced with '/' (param/..., opt/..., rng/..., stats/..., best/...).
+
+Readers take a decoded entry through read_scalar (a counter or a single
+value), read_text or read_json, which raise CorruptState naming the
+entry when it is missing (unless a default is given) or not of its kind.
 """
 from __future__ import annotations
 
+import json
 import math
 import os
 import struct
@@ -137,6 +142,56 @@ def decode(blob: bytes) -> dict[str, object]:
     if r.pos != len(blob):
         raise CorruptState(f"{len(blob) - r.pos} trailing bytes after last entry")
     return entries
+
+
+_REQUIRED = object()
+
+
+def _absent(name: str, default):
+    if default is _REQUIRED:
+        raise CorruptState(f"archive lacks required entry {name!r}")
+    return default
+
+
+def read_scalar(entries: Mapping[str, object], name: str, dtype=np.uint64,
+                default=_REQUIRED):
+    """The one value of entry `name`, an array of `dtype`: an int for the
+    default uint64 (a counter), a float for float64."""
+    if name not in entries:
+        return _absent(name, default)
+    value = entries[name]
+    if not (isinstance(value, np.ndarray) and value.dtype == dtype
+            and value.size == 1):
+        raise CorruptState(f"entry {name!r} must hold one {np.dtype(dtype)} value")
+    return value.item()
+
+
+def read_text(entries: Mapping[str, object], name: str,
+              default=_REQUIRED) -> str:
+    """Entry `name` decoded as UTF-8 text."""
+    if name not in entries:
+        return _absent(name, default)
+    value = entries[name]
+    if not isinstance(value, bytes):
+        raise CorruptState(f"entry {name!r} must hold text")
+    try:
+        return value.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise CorruptState(f"entry {name!r} is not UTF-8 text: {e}") from e
+
+
+def read_json(entries: Mapping[str, object], name: str, kind: type,
+              default=_REQUIRED):
+    """Entry `name` parsed as JSON text holding a `kind` (dict or list)."""
+    if name not in entries:
+        return _absent(name, default)
+    try:
+        value = json.loads(read_text(entries, name))
+    except json.JSONDecodeError as e:
+        raise CorruptState(f"entry {name!r} is not JSON: {e}") from e
+    if not isinstance(value, kind):
+        raise CorruptState(f"entry {name!r} must hold a JSON {kind.__name__}")
+    return value
 
 
 def write_atomic(path, data: bytes) -> None:

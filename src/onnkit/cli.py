@@ -532,11 +532,11 @@ def cmd_gradcheck(cfg: FullConfig,
 
 
 def _archived_config_text(entries: dict) -> str:
-    text = entries.get("config/text")
+    text = checkpoint.read_text(entries, "config/text", None)
     if text is None:
         raise ValidationError(
             "config: checkpoint stores no configuration; pass --config")
-    return text.decode()
+    return text
 
 
 def cmd_eval(ckpt_path, cfg: FullConfig | None = None,
@@ -551,7 +551,7 @@ def cmd_eval(ckpt_path, cfg: FullConfig | None = None,
     if cfg is None:
         cfg = parse_config(_archived_config_text(entries), lib)
     splits = _splits_from_config(cfg)
-    fold = int(np.asarray(entries.get("trainer/fold", np.array([0]))).reshape(-1)[0])
+    fold = checkpoint.read_scalar(entries, "trainer/fold", default=0)
     if fold >= len(splits):
         raise ValidationError(
             f"config: checkpoint holds fold {fold}, but the configuration "

@@ -75,11 +75,12 @@ def block_forward(opset: OperatorSet, weights: Variable, bias: Variable,
     the patch matrix [1, C, M*N, m*n], giving [G, M, N]."""
     g, c, m, n = weights.shape
     w = ag.reshape(weights, (g, c, 1, m * n))
-    # untaped selection groups keep the dense pool: sending them through
-    # the winners path below leaves an untaped network forward no faster,
-    # but makes every gradcheck probe (all are untaped) pay a second nodal
-    # pass and two gathers; check_operator_set_gradients for set 13
-    # (cubic, median, lincut) took a third to a half longer that way
+    # untaped selection groups pool the dense nodal array, one select and
+    # one gather on z: sending them through the winners path below leaves
+    # an untaped network forward no faster, but makes every gradcheck
+    # probe (all are untaped) pay a second nodal pass and two gathers;
+    # check_operator_set_gradients for set 13 (cubic, median, lincut)
+    # took a third to a half longer that way
     if opset.pool.select is None or w.tape is None and patches.tape is None:
         z = evaluate_nodal(opset.nodal, w, patches, constants)
         pooled = evaluate_pool(opset.pool, z, constants)

@@ -114,14 +114,13 @@ def _pool_sum(z, c):
     return ag.reduce_sum(z, -1)
 
 
-def _pool_median(z, c):
-    length = z.shape[-1]
-    return ag.reduce_median(z, -1, scale=float(length))
+def _selection_pool(kind: str) -> Operator:
+    """The built-in pool named and marked by its selection kind: each
+    patch row's winner, times the patch length."""
+    def pool(z, c):
+        return ag.mul(ag.gather(z, ag.select(z.value, kind)), float(z.shape[-1]))
 
-
-def _pool_max(z, c):
-    length = z.shape[-1]
-    return ag.reduce_max(z, -1, scale=float(length))
+    return Operator(kind, pool, select=kind)
 
 
 # --- built-in activations: pointwise in (x, b) ---
@@ -149,8 +148,8 @@ BUILTIN_NODAL = (
 
 BUILTIN_POOL = (
     Operator("sum", _pool_sum),
-    Operator("median", _pool_median, select="median"),
-    Operator("max", _pool_max, select="max"),
+    _selection_pool("median"),
+    _selection_pool("max"),
 )
 
 BUILTIN_ACTIVATION = (

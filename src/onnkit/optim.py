@@ -18,6 +18,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from . import checkpoint
 from .autograd import Parameter
 from .errors import CorruptState, NonFiniteGradient, UnknownOptimizer
 from .tensor import Tensor
@@ -69,17 +70,15 @@ class Optimizer:
 
     @classmethod
     def from_entries(cls, entries: Mapping[str, object]) -> "Optimizer":
-        needed = ("opt/hyper", "opt/step") if cls.counts_steps else ("opt/hyper",)
-        for required in needed:
-            if required not in entries:
-                raise CorruptState(f"{cls.name} state has no {required} entry")
+        if "opt/hyper" not in entries:
+            raise CorruptState(f"{cls.name} state has no opt/hyper entry")
         hyper = np.asarray(entries["opt/hyper"]).reshape(-1)
         if hyper.size != len(cls.defaults):
             raise CorruptState(f"{cls.name} hyperparameters need "
                                f"{len(cls.defaults)} values, found {hyper.size}")
         opt = cls(**dict(zip(cls.defaults, hyper.tolist())))
         if cls.counts_steps:
-            opt.step_count = int(np.asarray(entries["opt/step"]).reshape(-1)[0])
+            opt.step_count = checkpoint.read_scalar(entries, "opt/step")
         for slot, values in opt.state.items():
             prefix = f"opt/{slot}/"
             for name, value in entries.items():
@@ -150,11 +149,7 @@ def make_optimizer(name: str, **hyper) -> Optimizer:
 
 
 def restore_from_entries(entries: Mapping[str, object]) -> Optimizer:
-    kind = entries.get("opt/kind")
-    if kind is None:
-        raise CorruptState("optimizer state has no opt/kind entry")
-    if isinstance(kind, bytes):
-        kind = kind.decode("utf-8", errors="replace")
+    kind = checkpoint.read_text(entries, "opt/kind")
     if kind not in OPTIMIZERS:
         raise CorruptState(f"optimizer state names unknown kind {kind!r}")
     return OPTIMIZERS[kind].from_entries(entries)

@@ -97,15 +97,18 @@ BUILTIN_METRICS = {"snr": MetricSpec("snr", calc_snr, "max")}
 
 
 def resolve_metrics(pairs, supplied=()) -> list[MetricSpec]:
-    """The MetricSpecs of (name, criterion) pairs: each pair's criterion
-    with the compute function of the supplied, else the built-in, spec of
-    its name."""
+    """The MetricSpecs of (name, criterion) pairs: each pair's criterion,
+    max or min, with the compute function of the supplied, else the
+    built-in, spec of its name."""
     known = {m.name: m for m in (LOSS_METRIC, *BUILTIN_METRICS.values(),
                                  *supplied)}
-    for name, _ in pairs:
+    for name, crit in pairs:
         if name not in known:
             raise CorruptState(f"metric {name!r} is not built in; pass its "
                                f"MetricSpec")
+        if crit not in ("max", "min"):
+            raise CorruptState(f"metric {name!r} has criterion {crit!r}, "
+                               f"not max or min")
     return [MetricSpec(name, known[name].compute, crit) for name, crit in pairs]
 
 
@@ -387,28 +390,34 @@ class Trainer:
         from the builtin one.
         """
         entries = path if isinstance(path, dict) else checkpoint.load(path)
-        for required in ("trainer/config", "trainer/run", "trainer/epoch"):
-            if required not in entries:
-                raise CorruptState(f"archive lacks required entry {required!r}")
+        fields = checkpoint.read_json(entries, "trainer/config", dict)
+        run = checkpoint.read_scalar(entries, "trainer/run")
+        epoch = checkpoint.read_scalar(entries, "trainer/epoch")
         params = {p.name: p for p in net.parameters()}
         _check_parameter_names(entries, "param/", params)
-        cfg = TrainerConfig(**json.loads(entries["trainer/config"].decode()))
-        archived = json.loads(entries.get("trainer/metrics", b"[]").decode())
-        config_text = entries.get("config/text")
+        try:
+            cfg = TrainerConfig(**fields)
+        except TypeError as e:
+            raise CorruptState(f"entry 'trainer/config' is no TrainerConfig: "
+                               f"{e}") from e
+        archived = checkpoint.read_json(entries, "trainer/metrics", list, [])
         trainer = cls(net, split, cfg, resolve_metrics(archived, metrics or ()),
-                      config_text.decode() if config_text else None)
+                      checkpoint.read_text(entries, "config/text", None))
         for name, p in params.items():
             p.assign(Tensor(entries[f"param/{name}"]))
         if "opt/kind" in entries:
             trainer.optimizer = optim.restore_from_entries(entries)
             _check_optimizer_slots(entries, trainer.optimizer, params)
         if "rng/state" in entries:
-            state = json.loads(entries["rng/state"].decode())
             rng = _rng_for_run(cfg.seed, 0)
-            rng.bit_generator.state = state
+            try:
+                rng.bit_generator.state = checkpoint.read_json(
+                    entries, "rng/state", dict)
+            except (KeyError, OverflowError, TypeError, ValueError) as e:
+                raise CorruptState(f"entry 'rng/state' is no PCG64 state: "
+                                   f"{e!r}") from e
             trainer._rng = rng
-        trainer._run = int(np.asarray(entries["trainer/run"]).reshape(-1)[0])
-        trainer._epoch = int(np.asarray(entries["trainer/epoch"]).reshape(-1)[0])
+        trainer._run, trainer._epoch = run, epoch
         _restore_record(trainer.record, entries)
         trainer.best = _bests_from_entries(entries)
         for partition, metric in trainer.best:
@@ -445,14 +454,14 @@ def _check_optimizer_slots(entries: dict, optimizer: optim.Optimizer,
 
 def _restore_record(record: TrainingRecord, entries: dict) -> None:
     """Fill a fresh record with the archive's run status and series."""
-    stored = (json.loads(entries.get("trainer/partitions", b"null").decode())
+    stored = (checkpoint.read_json(entries, "trainer/partitions", list, None)
               or record.partitions)
     for part in dict.fromkeys(record.partitions + stored):
         if (part in stored) != (part in record.partitions):
             where = "archive" if part in stored else "split"
             raise CorruptState(f"the {part} partition is only in the {where}: "
                                f"the archive was trained on {', '.join(stored)}")
-    record.run_status = json.loads(entries.get("trainer/status", b"[]").decode())
+    record.run_status = checkpoint.read_json(entries, "trainer/status", list, [])
     runs = len(record.run_status)
     for r in range(runs):
         for key in record.series:
@@ -480,9 +489,9 @@ def _bests_from_entries(entries: dict) -> dict[tuple[str, str], BestEntry]:
             if name.startswith(prefix):
                 params[name[len(prefix):]] = np.array(arr, dtype=np.float64)
         bests[(partition, metric)] = BestEntry(
-            value=float(np.asarray(entries[key]).reshape(())),
-            run=int(np.asarray(entries[f"{base}/run"]).reshape(-1)[0]),
-            epoch=int(np.asarray(entries[f"{base}/epoch"]).reshape(-1)[0]),
+            value=checkpoint.read_scalar(entries, key, np.float64),
+            run=checkpoint.read_scalar(entries, f"{base}/run"),
+            epoch=checkpoint.read_scalar(entries, f"{base}/epoch"),
             params=params,
         )
     return bests

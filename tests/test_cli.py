@@ -2,6 +2,7 @@
 import contextlib
 import dataclasses
 import io
+import json
 import re
 import sys
 import warnings
@@ -466,6 +467,45 @@ def test_an_archive_with_a_network_entry_still_evaluates():
     assert len(lines) == 6
     assert all(line.startswith("fold 1 ") and line.endswith(", match")
                for line in lines)
+
+
+def _extra_config_key(entries):
+    fields = json.loads(entries["trainer/config"])
+    return json.dumps({**fields, "bogus": 1}).encode()
+
+
+@pytest.mark.parametrize("entry,tamper,message", [
+    ("trainer/run", lambda e: np.array([], dtype=np.uint64),
+     "'trainer/run' must hold one uint64 value"),
+    ("trainer/fold", lambda e: np.array([], dtype=np.uint64),
+     "'trainer/fold' must hold one uint64 value"),
+    ("best/val/snr/epoch", lambda e: np.array([1.0]),
+     "'best/val/snr/epoch' must hold one uint64 value"),
+    ("best/val/loss/value", lambda e: np.array([1.0, 2.0]),
+     "'best/val/loss/value' must hold one float64 value"),
+    ("trainer/status", lambda e: b"{", "'trainer/status' is not JSON"),
+    ("trainer/config", _extra_config_key,
+     "'trainer/config' is no TrainerConfig"),
+    ("trainer/config", lambda e: np.array([1.0]),
+     "'trainer/config' must hold text"),
+    ("config/text", lambda e: b"\xff\xfe", "'config/text' is not UTF-8 text"),
+    ("rng/state", lambda e: b'{"a": 1}', "'rng/state' is no PCG64 state"),
+    ("trainer/metrics", lambda e: b'[["loss", "min"], ["snr", "avg"]]',
+     "metric 'snr' has criterion 'avg', not max or min"),
+], ids=["run-empty", "fold-empty", "best-epoch-float", "best-value-two",
+        "status-json", "config-key", "config-float", "text-utf8", "rng-state",
+        "metric-criterion"])
+def test_a_corrupt_archive_entry_is_one_runtime_error_naming_it(
+        tmp_path, entry, tamper, message):
+    entries = ckpt_mod.load(Path(__file__).parent / "data"
+                            / "with_arch_json_fold1.ckpt")
+    entries[entry] = tamper(entries)
+    path = tmp_path / "tampered.ckpt"
+    ckpt_mod.save(path, entries)
+    code, lines, err = run_cli(["eval", "--ckpt", str(path)])
+    assert (code, lines) == (2, [])
+    assert len(err) == 1 and err[0].startswith("error: runtime: ")
+    assert message in err[0]
 
 
 def test_eval_with_an_emptied_partition_is_a_config_error(tmp_path):

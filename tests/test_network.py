@@ -272,10 +272,7 @@ def dense_group(opset, weights, bias, patches, spatial, constants):
     g, c, m, n = weights.shape
     z = opset.nodal.fn(autograd_mod.reshape(weights, (g, c, 1, m * n)),
                        patches, constants)
-    select = {"median": autograd_mod.reduce_median,
-              "max": autograd_mod.reduce_max}.get(opset.pool.name)
-    pooled = (autograd_mod.reduce_sum(z, -1) if select is None
-              else select(z, -1, scale=float(m * n)))
+    pooled = opset.pool.fn(z, constants)
     x = autograd_mod.reshape(autograd_mod.reduce_sum(pooled, 1), (g, *spatial))
     return opset.activation.fn(x, bias, constants)
 

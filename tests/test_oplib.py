@@ -318,3 +318,38 @@ def test_each_activation_gradient_against_fd(lib, act):
 
     report = gradcheck(f, [x, b], tol=1e-4)
     assert report.passed
+
+
+def test_a_custom_selection_pool_is_the_builtin_median_taped_densely(lib):
+    # README's recipe: unmarked (select=None), so a taped pass tapes its
+    # full nodal array instead of taking the winners path
+    add_custom_operator(lib, "pool", "median2", lambda z, c: ag.mul(
+        ag.gather(z, ag.select(z.value, "median")), float(z.shape[-1])))
+    assert lib.pool[-1].select is None
+    tanh = lib.set_by_names("mul", "sum", "tanh").index
+    rng = np.random.default_rng(4)
+    x = rng.uniform(-1.0, 1.0, (2, 1, 6, 6))
+    r = rng.uniform(-1.0, 1.0, (2, 2, 6, 6))
+
+    def run(pool):
+        index = lib.set_by_names("cubic", pool, "lincut").index
+        net = build_network(1, [2, 2], [3, 3], [[tanh], [index]], [1, 1],
+                            library=lib, init=("uniform", 0.5))
+        net.reset_parameters(1)
+        untaped = network_forward(net, x).data
+        tape = Tape()
+        out = network_forward(net, x, tape)
+        shapes = {node.shape for node in tape.nodes}
+        leaves = [tape.watch(p).node for p in net.parameters()]
+        grads = backward(ag.sum_all(ag.mul(out, r)))
+        return untaped, [grads[n].data for n in leaves], shapes, index
+
+    untaped, got, shapes, index = run("median2")
+    want_untaped, want, winner_shapes, _ = run("median")
+    assert untaped.tobytes() == want_untaped.tobytes()
+    for a, b in zip(got, want):
+        assert np.any(b != 0.0)
+        assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+    assert (2, 2, 36, 9) in shapes and (2, 2, 36, 9) not in winner_shapes
+    report = check_operator_set_gradients(lib, index, seed=1)
+    assert report.passed, f"max rel err {report.worst()}"

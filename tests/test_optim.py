@@ -135,5 +135,8 @@ def test_restore_rejects_incomplete_state():
     entries.pop("opt/step")
     with pytest.raises(CorruptState):
         Adam.from_entries(entries)
+    entries["opt/step"] = np.array([], dtype=np.uint64)
+    with pytest.raises(CorruptState, match="'opt/step'"):
+        Adam.from_entries(entries)
     with pytest.raises(CorruptState):
         SGD.from_entries({})

@@ -1,5 +1,5 @@
-"""Values: the boundary Tensor, raw reductions, and the engine's
-broadcasting, reshape and read-only outputs."""
+"""Values: the boundary Tensor, sum and selection reductions, and the
+engine's broadcasting, reshape and read-only outputs."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 import onnkit.autograd as ag
 from onnkit.errors import EmptyAxis, ShapeMismatch, SizeMismatch
 from onnkit.oplib import add_custom_operator, evaluate_nodal, register_builtin_library
-from onnkit.tensor import Tensor, _reduce_raw
+from onnkit.tensor import Tensor
 
 from oracles import median_pick, tile_broadcast
 
@@ -82,27 +82,34 @@ def test_broadcast_matches_explicit_tiling(op, shapes):
     assert np.array_equal(got.value, expected)
 
 
+def pick(kind, arr, axis):
+    """(values, winners) of select + gather along one axis of arr, moved
+    to the end."""
+    rows = np.moveaxis(arr, axis, -1)
+    arg = ag.select(rows, kind)
+    return ag.gather(rows, arg).value, arg
+
+
 def test_reduce_sum_rows():
-    values, arg = _reduce_raw("sum", np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), 1)
+    values = ag.reduce_sum(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), 1).value
     assert values.tolist() == [6.0, 15.0]
-    assert arg is None
 
 
 def test_reduce_median_picks_stored_element():
-    values, arg = _reduce_raw("median", np.array([[7.0, 1.0, 4.0]]), 1)
+    values, arg = pick("median", np.array([[7.0, 1.0, 4.0]]), 1)
     assert values.tolist() == [4.0]
     assert arg.tolist() == [2]
 
 
 def test_reduce_median_even_extent():
     # sorted position floor(4/2) = 2 of [9, 2, 5, 7] -> value 7 at index 3
-    values, arg = _reduce_raw("median", np.array([9.0, 2.0, 5.0, 7.0]), 0)
+    values, arg = pick("median", np.array([9.0, 2.0, 5.0, 7.0]), 0)
     assert values.item() == 7.0
     assert arg.item() == 3
 
 
 def test_reduce_median_stable_on_ties():
-    values, arg = _reduce_raw("median", np.array([2.0, 2.0, 2.0]), 0)
+    values, arg = pick("median", np.array([2.0, 2.0, 2.0]), 0)
     assert values.item() == 2.0
     assert arg.item() == 1  # sorted position 1 keeps original order
 
@@ -134,7 +141,7 @@ def median_cases(draw):
 @given(median_cases())
 def test_median_winner_is_the_stable_sort_pick(case):
     arr, axis = case
-    values, arg = _reduce_raw("median", arr, axis)
+    values, arg = pick("median", arr, axis)
     order = np.argsort(arr, axis=axis, kind="stable")
     expected = np.take(order, arr.shape[axis] // 2, axis=axis)
     assert arg.shape == values.shape == expected.shape
@@ -152,13 +159,13 @@ def test_median_winner_is_the_stable_sort_pick(case):
 
 
 def test_median_of_1d_input_is_0d():
-    values, arg = _reduce_raw("median", np.array([3.0, -0.0, 0.0]), 0)
+    values, arg = pick("median", np.array([3.0, -0.0, 0.0]), 0)
     assert values.shape == () and arg.shape == ()
     assert int(arg) == 2 and not np.signbit(values)  # +0.0, not -0.0
 
 
 def test_reduce_max_tie_takes_lowest_index():
-    values, arg = _reduce_raw("max", np.array([[5.0, 5.0, 3.0]]), 1)
+    values, arg = pick("max", np.array([[5.0, 5.0, 3.0]]), 1)
     assert values.tolist() == [5.0]
     assert arg.tolist() == [0]
 
@@ -166,8 +173,9 @@ def test_reduce_max_tie_takes_lowest_index():
 def test_reduce_rejects_empty_axis():
     with pytest.raises(EmptyAxis):
         ag.reduce_sum(np.zeros((2, 0)), 1)
-    with pytest.raises(EmptyAxis):
-        ag.reduce_max(np.zeros((0,)), 0)
+    for kind in ("max", "median"):
+        with pytest.raises(EmptyAxis):
+            ag.select(np.zeros((0,)), kind)
 
 
 def test_reduce_rejects_bad_axis():
@@ -179,7 +187,7 @@ def test_median_always_an_actual_element():
     rng = np.random.default_rng(11)
     for _ in range(25):
         arr = rng.normal(size=(3, 7))
-        values, arg = _reduce_raw("median", arr, 1)
+        values, arg = pick("median", arr, 1)
         for row in range(3):
             assert values[row] == arr[row, arg[row]]
 
@@ -220,8 +228,8 @@ def test_operations_are_bitwise_deterministic():
     first = ag.add(Tensor(a), Tensor(b))
     second = ag.add(Tensor(a), Tensor(b))
     assert first.value.tobytes() == second.value.tobytes()
-    v1, _ = _reduce_raw("sum", a, 0)
-    v2, _ = _reduce_raw("sum", a, 0)
+    v1 = ag.reduce_sum(a, 0).value
+    v2 = ag.reduce_sum(a, 0).value
     assert v1.tobytes() == v2.tobytes()
 
 
