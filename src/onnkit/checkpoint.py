@@ -12,8 +12,9 @@ by name, so the same state always produces byte-identical files. Names
 are namespaced with '/' (param/..., opt/..., rng/..., stats/..., best/...).
 
 Readers take a decoded entry through read_scalar (a counter or a single
-value), read_text or read_json, which raise CorruptState naming the
-entry when it is missing (unless a default is given) or not of its kind.
+value), read_array, read_arrays (the arrays under one prefix), read_text
+or read_json, which raise CorruptState naming the entry when it is
+missing (unless a default is given) or not of its kind.
 """
 from __future__ import annotations
 
@@ -164,6 +165,36 @@ def read_scalar(entries: Mapping[str, object], name: str, dtype=np.uint64,
             and value.size == 1):
         raise CorruptState(f"entry {name!r} must hold one {np.dtype(dtype)} value")
     return value.item()
+
+
+def read_array(entries: Mapping[str, object], name: str, shape=None,
+               default=_REQUIRED) -> np.ndarray:
+    """Entry `name` as a float64 array, of `shape` when one is given; an
+    extent of None in `shape` takes any length."""
+    if name not in entries:
+        return _absent(name, default)
+    value = entries[name]
+    if not (isinstance(value, np.ndarray) and value.dtype == np.float64):
+        raise CorruptState(f"entry {name!r} must hold a float64 array")
+    if shape is not None and not (len(shape) == value.ndim and all(
+            want in (None, got) for want, got in zip(shape, value.shape))):
+        raise CorruptState(f"entry {name!r} has shape {value.shape}, "
+                           f"expected {tuple(shape)}")
+    return value
+
+
+def read_arrays(entries: Mapping[str, object], prefix: str,
+                shapes: Mapping[str, object]) -> dict[str, np.ndarray]:
+    """read_array of `prefix`<name> in shapes[name], by name, for exactly
+    the names of `shapes`: CorruptState names the first entry not shared."""
+    stored = {k[len(prefix):] for k in entries if k.startswith(prefix)}
+    for name in [*shapes, *sorted(stored)]:
+        if (name in shapes) != (name in stored):
+            where = "network" if name in shapes else "archive"
+            raise CorruptState(
+                f"parameter entry {prefix + name!r} is only in the {where}")
+    return {name: read_array(entries, prefix + name, shape)
+            for name, shape in shapes.items()}
 
 
 def read_text(entries: Mapping[str, object], name: str,

@@ -44,7 +44,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from . import checkpoint, dataio, optim, patchops
+from . import checkpoint, dataio, patchops
 from .errors import (
     NonFiniteLoss,
     OnnkitError,
@@ -61,6 +61,7 @@ from .trainer import (
     PARTITIONS,
     Trainer,
     TrainerConfig,
+    check_trainer_config,
     export_stats,
     resolve_metrics,
 )
@@ -308,19 +309,7 @@ def parse_config(text: str,
 
     tr_s = _Section("trainer", sections.get("trainer", {}), TrainerConfig)
     trainer = tr_s.build()
-    if trainer.optimizer not in optim.SUPPORTED:
-        tr_s.fail("optimizer", f"must be one of {', '.join(optim.SUPPORTED)}, "
-                               f"got {trainer.optimizer!r}")
-    for key, least in (("num_epochs", 1), ("num_runs", 1), ("batch_size", 1),
-                       ("seed", 0), ("momentum", 0), ("eps", 0)):
-        if getattr(trainer, key) < least:
-            tr_s.fail(key, f"must be at least {least}")
-    for key in ("beta1", "beta2"):
-        if not 0 <= getattr(trainer, key) < 1:
-            tr_s.fail(key, "must be in [0, 1)")
-    for key in ("lr", "lr_decay"):
-        if getattr(trainer, key) <= 0:
-            tr_s.fail(key, "must be positive")
+    check_trainer_config(trainer, tr_s.fail)
     metrics: list[tuple[str, str]] = []
     for item in tr_s.items("metrics"):
         name, _, crit = item.partition(":")
@@ -637,9 +626,9 @@ def _load_config(args, archive: dict | None = None) -> FullConfig:
         text = _archived_config_text(archive)
     cfg = parse_config(text)
     if args.seed is not None:
-        if args.seed < 0:
-            raise ValidationError("trainer: seed must be at least 0")
         cfg.trainer.seed = args.seed
+        check_trainer_config(cfg.trainer,
+                             _Section("trainer", {}, TrainerConfig).fail)
     if args.folds is not None:
         if args.folds < 1:
             raise ValidationError("data: folds must be at least 1")

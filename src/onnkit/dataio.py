@@ -63,27 +63,9 @@ def read_pgm(path) -> np.ndarray:
     return np.frombuffer(payload, dtype=np.uint8).reshape(height, width).copy()
 
 
-def write_pgm(path, pixels: np.ndarray) -> None:
-    """Write a uint8 [M, N] array as a binary greyscale file."""
-    arr = np.ascontiguousarray(pixels, dtype=np.uint8)
-    if arr.ndim != 2:
-        raise SizeMismatch(f"expected a 2-d pixel grid, got shape {arr.shape}")
-    header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
-    try:
-        Path(path).write_bytes(header + arr.tobytes())
-    except OSError as e:
-        raise IoError(f"cannot write image {path}: {e}") from e
-
-
 def pixels_to_signal(pixels: np.ndarray) -> np.ndarray:
     """Map uint8 pixels to floats in [-1, 1] (0 -> -1.0, 255 -> +1.0)."""
     return pixels.astype(np.float64) * (2.0 / 255.0) - 1.0
-
-
-def signal_to_pixels(values: np.ndarray) -> np.ndarray:
-    """Quantize floats in [-1, 1] back to uint8 pixels."""
-    scaled = np.clip((np.asarray(values) + 1.0) * (255.0 / 2.0), 0.0, 255.0)
-    return np.rint(scaled).astype(np.uint8)
 
 
 @dataclass

@@ -69,21 +69,18 @@ class Optimizer:
         return entries
 
     @classmethod
-    def from_entries(cls, entries: Mapping[str, object]) -> "Optimizer":
-        if "opt/hyper" not in entries:
-            raise CorruptState(f"{cls.name} state has no opt/hyper entry")
-        hyper = np.asarray(entries["opt/hyper"]).reshape(-1)
-        if hyper.size != len(cls.defaults):
-            raise CorruptState(f"{cls.name} hyperparameters need "
-                               f"{len(cls.defaults)} values, found {hyper.size}")
+    def from_entries(cls, entries: Mapping[str, object],
+                     shapes: Mapping[str, tuple]) -> "Optimizer":
+        """The archived optimizer of parameters of these names and shapes;
+        a slot holds every parameter or none (before the first step)."""
+        hyper = checkpoint.read_array(entries, "opt/hyper", (len(cls.defaults),))
         opt = cls(**dict(zip(cls.defaults, hyper.tolist())))
         if cls.counts_steps:
             opt.step_count = checkpoint.read_scalar(entries, "opt/step")
-        for slot, values in opt.state.items():
+        for slot in cls.slots:
             prefix = f"opt/{slot}/"
-            for name, value in entries.items():
-                if name.startswith(prefix):
-                    values[name[len(prefix):]] = np.array(value, dtype=np.float64)
+            if any(name.startswith(prefix) for name in entries):
+                opt.state[slot] = checkpoint.read_arrays(entries, prefix, shapes)
         return opt
 
 
@@ -148,8 +145,9 @@ def make_optimizer(name: str, **hyper) -> Optimizer:
     return cls(**{k: v for k, v in hyper.items() if k in cls.defaults})
 
 
-def restore_from_entries(entries: Mapping[str, object]) -> Optimizer:
+def restore_from_entries(entries: Mapping[str, object],
+                         shapes: Mapping[str, tuple]) -> Optimizer:
     kind = checkpoint.read_text(entries, "opt/kind")
     if kind not in OPTIMIZERS:
         raise CorruptState(f"optimizer state names unknown kind {kind!r}")
-    return OPTIMIZERS[kind].from_entries(entries)
+    return OPTIMIZERS[kind].from_entries(entries, shapes)

@@ -30,13 +30,13 @@ import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, get_type_hints
 
 import numpy as np
 
 from . import autograd as ag
 from . import checkpoint, optim
-from .autograd import Tape
+from .autograd import Parameter, Tape
 from .dataio import FoldSplit, PairedImageDataset
 from .errors import (
     ConstantTarget,
@@ -130,6 +130,31 @@ class TrainerConfig:
     model_name: str = "model"
 
 
+def check_trainer_config(cfg: TrainerConfig, fail) -> None:
+    """Call fail(field, rule), which raises, on the first field of `cfg`
+    that breaks a [trainer] rule. A field holds the type of its
+    annotation (an int is no bool; a float may be an int, not NaN), then
+    the optimizer must be supported and every setting in its domain."""
+    for key, kind in get_type_hints(TrainerConfig).items():
+        value = getattr(cfg, key)  # NaN is the one value unequal to itself
+        if (isinstance(value, bool) or value != value or not isinstance(
+                value, (int, float) if kind is float else kind)):
+            fail(key, f"must be a {kind.__name__}, got {value!r}")
+    if cfg.optimizer not in optim.SUPPORTED:
+        fail("optimizer", f"must be one of {', '.join(optim.SUPPORTED)}, "
+                          f"got {cfg.optimizer!r}")
+    for key, least in (("num_epochs", 1), ("num_runs", 1), ("batch_size", 1),
+                       ("seed", 0), ("momentum", 0), ("eps", 0)):
+        if getattr(cfg, key) < least:
+            fail(key, f"must be at least {least}")
+    for key in ("beta1", "beta2"):
+        if not 0 <= getattr(cfg, key) < 1:
+            fail(key, "must be in [0, 1)")
+    for key in ("lr", "lr_decay"):
+        if getattr(cfg, key) <= 0:
+            fail(key, "must be positive")
+
+
 @dataclass
 class BestEntry:
     """Best value of one metric on one partition, with provenance."""
@@ -159,11 +184,14 @@ class TrainingRecord:
     def metric_names(self) -> list[str]:
         return [m.name for m in self.metrics]
 
+    def columns(self) -> dict[str, list[list[float]]]:
+        """Each run's series by "<partition>/<metric or per_image_time_s>"."""
+        return {**{"/".join(key): runs for key, runs in self.series.items()},
+                **{f"{p}/per_image_time_s": runs for p, runs in self.times.items()}}
+
     def start_run(self) -> None:
-        for key in self.series:
-            self.series[key].append([])
-        for p in self.partitions:
-            self.times[p].append([])
+        for runs in self.columns().values():
+            runs.append([])
         self.run_status.append("running")
 
     def append_epoch(self, partition: str, values: dict[str, float],
@@ -357,12 +385,9 @@ class Trainer:
         entries["trainer/fold"] = np.array([self.split.fold], dtype=np.uint64)
         entries["trainer/partitions"] = json.dumps(self.partitions).encode()
         entries["trainer/status"] = json.dumps(self.record.run_status).encode()
-        for (part, metric), runs in self.record.series.items():
+        for column, runs in self.record.columns().items():
             for r, series in enumerate(runs):
-                entries[f"stats/{part}/{metric}/run{r}"] = np.array(series)
-        for part, runs in self.record.times.items():
-            for r, series in enumerate(runs):
-                entries[f"stats/{part}/per_image_time_s/run{r}"] = np.array(series)
+                entries[f"stats/{column}/run{r}"] = np.array(series)
         for (part, metric), best in self.best.items():
             base = f"best/{part}/{metric}"
             entries[f"{base}/value"] = np.array(best.value)
@@ -375,39 +400,44 @@ class Trainer:
     @classmethod
     def load(cls, path, net: OpNetwork, split: FoldSplit,
              metrics: list[MetricSpec] | None = None) -> "Trainer":
-        """Restore a trainer from an archive into `net`, ready to continue
-        training. `path` is the archive's path, or the entries
-        checkpoint.load already decoded from it.
+        """Restore a trainer from an archive, its path or the entries
+        checkpoint.load decoded from it, into `net`, ready to continue
+        training. `net` changes only once every entry has passed its
+        checks: a load that raises leaves it as it was.
 
-        `net` must have the parameters the archive holds: the same names,
-        none missing and none extra (CorruptState), the same shapes
-        (ShapeMismatch). Each optimizer slot holds every parameter, in
-        its shape, or none (CorruptState). `split` must have the nonempty
-        partitions the archive was trained on (CorruptState).
+        `net` must have the archive's parameters: the same names, none
+        missing and none extra (CorruptState), the same shapes
+        (ShapeMismatch). Each best and nonempty optimizer slot holds them
+        all in those shapes, each best is of a partition and metric the
+        archive was trained on, `trainer/config` keeps the [trainer] rules
+        and `split`'s nonempty partitions are the archive's (CorruptState).
         Metric compute functions cannot live in the archive: each
         archived metric keeps its archived criterion and takes its
         compute function from the spec of its name in `metrics`, else
         from the builtin one.
         """
         entries = path if isinstance(path, dict) else checkpoint.load(path)
+        shapes = {p.name: p.value.shape for p in net.parameters()}
+        stored = checkpoint.read_arrays(entries, "param/", dict.fromkeys(shapes))
         fields = checkpoint.read_json(entries, "trainer/config", dict)
-        run = checkpoint.read_scalar(entries, "trainer/run")
-        epoch = checkpoint.read_scalar(entries, "trainer/epoch")
-        params = {p.name: p for p in net.parameters()}
-        _check_parameter_names(entries, "param/", params)
         try:
             cfg = TrainerConfig(**fields)
         except TypeError as e:
             raise CorruptState(f"entry 'trainer/config' is no TrainerConfig: "
                                f"{e}") from e
+
+        def corrupt(key: str, rule: str):
+            raise CorruptState(f"entry 'trainer/config': {key} {rule}")
+
+        check_trainer_config(cfg, corrupt)
         archived = checkpoint.read_json(entries, "trainer/metrics", list, [])
         trainer = cls(net, split, cfg, resolve_metrics(archived, metrics or ()),
                       checkpoint.read_text(entries, "config/text", None))
-        for name, p in params.items():
-            p.assign(Tensor(entries[f"param/{name}"]))
+        staged = [Parameter(p.name, p.value) for p in net.parameters()]
+        for p in staged:
+            p.assign(Tensor(stored[p.name]))
         if "opt/kind" in entries:
-            trainer.optimizer = optim.restore_from_entries(entries)
-            _check_optimizer_slots(entries, trainer.optimizer, params)
+            trainer.optimizer = optim.restore_from_entries(entries, shapes)
         if "rng/state" in entries:
             rng = _rng_for_run(cfg.seed, 0)
             try:
@@ -417,39 +447,13 @@ class Trainer:
                 raise CorruptState(f"entry 'rng/state' is no PCG64 state: "
                                    f"{e!r}") from e
             trainer._rng = rng
-        trainer._run, trainer._epoch = run, epoch
+        trainer._run = checkpoint.read_scalar(entries, "trainer/run")
+        trainer._epoch = checkpoint.read_scalar(entries, "trainer/epoch")
         _restore_record(trainer.record, entries)
-        trainer.best = _bests_from_entries(entries)
-        for partition, metric in trainer.best:
-            _check_parameter_names(entries, f"best/{partition}/{metric}/param/",
-                                   params)
+        trainer.best = _bests_from_entries(entries, trainer.record, shapes)
+        for p, value in zip(net.parameters(), staged):
+            p.value = value.value
         return trainer
-
-
-def _check_parameter_names(entries: dict, prefix: str, names) -> None:
-    """Raise CorruptState naming the first `prefix`<name> entry that the
-    archive and the network do not share, the network's names first."""
-    stored = {k[len(prefix):] for k in entries if k.startswith(prefix)}
-    for name in list(names) + sorted(stored):
-        if (name in names) != (name in stored):
-            where = "network" if name in names else "archive"
-            raise CorruptState(
-                f"parameter entry {prefix + name!r} is only in the {where}")
-
-
-def _check_optimizer_slots(entries: dict, optimizer: optim.Optimizer,
-                           params: dict) -> None:
-    """Raise CorruptState naming the first entry of an optimizer slot
-    that lacks a parameter, names none or has another shape than its
-    parameter; an empty slot (no step taken yet) passes."""
-    for slot, values in optimizer.state.items():
-        if values:
-            _check_parameter_names(entries, f"opt/{slot}/", params)
-        for name, value in values.items():
-            shape = params[name].value.shape
-            if value.shape != shape:
-                raise CorruptState(f"entry 'opt/{slot}/{name}' has shape "
-                                   f"{value.shape}, its parameter {shape}")
 
 
 def _restore_record(record: TrainingRecord, entries: dict) -> None:
@@ -462,38 +466,33 @@ def _restore_record(record: TrainingRecord, entries: dict) -> None:
             raise CorruptState(f"the {part} partition is only in the {where}: "
                                f"the archive was trained on {', '.join(stored)}")
     record.run_status = checkpoint.read_json(entries, "trainer/status", list, [])
-    runs = len(record.run_status)
-    for r in range(runs):
-        for key in record.series:
-            part, metric = key
-            data = entries.get(f"stats/{part}/{metric}/run{r}")
-            record.series[key].append(
-                [] if data is None else [float(v) for v in np.asarray(data)])
-        for part in record.partitions:
-            data = entries.get(f"stats/{part}/per_image_time_s/run{r}")
-            record.times[part].append(
-                [] if data is None else [float(v) for v in np.asarray(data)])
+    for r in range(len(record.run_status)):
+        for column, runs in record.columns().items():
+            runs.append(checkpoint.read_array(
+                entries, f"stats/{column}/run{r}", (None,), np.empty(0)).tolist())
 
 
-def _bests_from_entries(entries: dict) -> dict[tuple[str, str], BestEntry]:
+def _bests_from_entries(entries: dict, record: TrainingRecord,
+                        shapes: dict) -> dict[tuple[str, str], BestEntry]:
+    """The bests of the record's (partition, metric) pairs that the archive
+    holds; CorruptState names any other best/ entry."""
     bests: dict[tuple[str, str], BestEntry] = {}
-    value_keys = [k for k in entries if k.startswith("best/")
-                  and k.endswith("/value")]
-    for key in value_keys:
-        parts = key.split("/")
-        partition, metric = parts[1], parts[2]
-        base = f"best/{partition}/{metric}"
-        params = {}
-        prefix = f"{base}/param/"
-        for name, arr in entries.items():
-            if name.startswith(prefix):
-                params[name[len(prefix):]] = np.array(arr, dtype=np.float64)
-        bests[(partition, metric)] = BestEntry(
-            value=checkpoint.read_scalar(entries, key, np.float64),
+    read: set[str] = set()
+    for key in record.series:
+        base = "best/{}/{}".format(*key)
+        if f"{base}/value" not in entries:
+            continue
+        bests[key] = BestEntry(
+            value=checkpoint.read_scalar(entries, f"{base}/value", np.float64),
             run=checkpoint.read_scalar(entries, f"{base}/run"),
             epoch=checkpoint.read_scalar(entries, f"{base}/epoch"),
-            params=params,
-        )
+            params=checkpoint.read_arrays(entries, f"{base}/param/", shapes))
+        read.update(f"{base}/{leaf}" for leaf in (
+            "value", "run", "epoch", *(f"param/{name}" for name in shapes)))
+    stray = sorted(k for k in entries if k.startswith("best/") and k not in read)
+    if stray:
+        raise CorruptState(f"entry {stray[0]!r} is the best of no partition "
+                           f"and metric the archive was trained on")
     return bests
 
 

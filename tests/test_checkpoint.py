@@ -1,6 +1,8 @@
 """State archive codec: wire layout, determinism, corruption handling."""
+import ast
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import onnkit.checkpoint as ckpt_mod
 from onnkit.checkpoint import FORMAT_VERSION, MAGIC, decode, encode, load, save
 from onnkit.errors import CorruptState, IoError, VersionMismatch
 
@@ -214,3 +217,27 @@ def test_failed_replace_leaves_existing_archive_untouched(tmp_path,
         save(path, {"a": np.float64(2.0)})
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["state.ckpt"]
+
+
+def _reads_an_entry(node) -> bool:
+    """`entries[...]` read, or `entries.get`, `.items` or `.values`."""
+    if isinstance(node, ast.Subscript):
+        target, reading = node.value, isinstance(node.ctx, ast.Load)
+    elif isinstance(node, ast.Attribute):
+        target, reading = node.value, node.attr in ("get", "items", "values")
+    else:
+        return False
+    return reading and isinstance(target, ast.Name) and target.id == "entries"
+
+
+def test_only_the_checkpoint_module_reads_decoded_entries():
+    # every other module reads an entry's value through a checkpoint
+    # reader, which names the entry when it is missing or of another kind;
+    # writes, key iteration and `in` tests stay allowed
+    package = Path(ckpt_mod.__file__).parent
+    reads = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.glob("*.py"))
+             if path.name != "checkpoint.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if _reads_an_entry(node)]
+    assert reads == []

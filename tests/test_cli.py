@@ -469,9 +469,18 @@ def test_an_archive_with_a_network_entry_still_evaluates():
                for line in lines)
 
 
-def _extra_config_key(entries):
-    fields = json.loads(entries["trainer/config"])
-    return json.dumps({**fields, "bogus": 1}).encode()
+def _config_with(**change):
+    return lambda e: json.dumps({**json.loads(e["trainer/config"]),
+                                 **change}).encode()
+
+
+def _test_loss_best_copied_to(base):
+    """Copies best/test/loss/* under `base`; the new value entry's value."""
+    def tamper(entries):
+        for key in [k for k in entries if k.startswith("best/test/loss/")]:
+            entries[base + key[len("best/test/loss/"):]] = entries[key]
+        return entries[base + "value"]
+    return tamper
 
 
 @pytest.mark.parametrize("entry,tamper,message", [
@@ -484,17 +493,43 @@ def _extra_config_key(entries):
     ("best/val/loss/value", lambda e: np.array([1.0, 2.0]),
      "'best/val/loss/value' must hold one float64 value"),
     ("trainer/status", lambda e: b"{", "'trainer/status' is not JSON"),
-    ("trainer/config", _extra_config_key,
+    ("trainer/config", _config_with(bogus=1),
      "'trainer/config' is no TrainerConfig"),
+    ("trainer/config", _config_with(num_epochs="3"),
+     "'trainer/config': num_epochs must be a int, got '3'"),
+    ("trainer/config", _config_with(seed=-1),
+     "'trainer/config': seed must be at least 0"),
+    ("trainer/config", _config_with(batch_size=2.5),
+     "'trainer/config': batch_size must be a int, got 2.5"),
     ("trainer/config", lambda e: np.array([1.0]),
      "'trainer/config' must hold text"),
     ("config/text", lambda e: b"\xff\xfe", "'config/text' is not UTF-8 text"),
     ("rng/state", lambda e: b'{"a": 1}', "'rng/state' is no PCG64 state"),
     ("trainer/metrics", lambda e: b'[["loss", "min"], ["snr", "avg"]]',
      "metric 'snr' has criterion 'avg', not max or min"),
+    ("stats/train/loss/run0", lambda e: b"x",
+     "'stats/train/loss/run0' must hold a float64 array"),
+    ("param/0/0/bias", lambda e: b"x",
+     "'param/0/0/bias' must hold a float64 array"),
+    ("param/0/0/weights", lambda e: np.zeros((1, 3, 3), dtype=np.uint64),
+     "'param/0/0/weights' must hold a float64 array"),
+    ("best/val/snr/param/0/0/bias", lambda e: b"x",
+     "'best/val/snr/param/0/0/bias' must hold a float64 array"),
+    ("best/val/snr/param/0/0/weights", lambda e: np.zeros((3, 3)),
+     "'best/val/snr/param/0/0/weights' has shape (3, 3), expected (1, 3, 3)"),
+    ("opt/velocity/0/0/weights", lambda e: b"x",
+     "'opt/velocity/0/0/weights' must hold a float64 array"),
+    ("opt/hyper", lambda e: b"x", "'opt/hyper' must hold a float64 array"),
+    ("best/test/psnr/value", _test_loss_best_copied_to("best/test/psnr/"),
+     "'best/test/psnr/epoch' is the best of no partition and metric"),
+    ("best/zzz/loss/value", _test_loss_best_copied_to("best/zzz/loss/"),
+     "'best/zzz/loss/epoch' is the best of no partition and metric"),
 ], ids=["run-empty", "fold-empty", "best-epoch-float", "best-value-two",
-        "status-json", "config-key", "config-float", "text-utf8", "rng-state",
-        "metric-criterion"])
+        "status-json", "config-key", "config-str-int", "config-seed",
+        "config-float-int", "config-float", "text-utf8", "rng-state",
+        "metric-criterion", "stats-bytes", "param-bytes", "param-u64",
+        "best-param-bytes", "best-param-shape", "opt-slot-bytes",
+        "opt-hyper-bytes", "best-unknown-metric", "best-unknown-partition"])
 def test_a_corrupt_archive_entry_is_one_runtime_error_naming_it(
         tmp_path, entry, tamper, message):
     entries = ckpt_mod.load(Path(__file__).parent / "data"

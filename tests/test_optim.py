@@ -118,7 +118,7 @@ def test_state_round_trip_is_bitwise(name, hyper):
 
     # the trainer's own path: archive entries out, decoded entries back in
     blob = checkpoint.encode(oa.state_entries())
-    ob = restore_from_entries(checkpoint.decode(blob))
+    ob = restore_from_entries(checkpoint.decode(blob), {"p": (5,)})
     pb = make_param(pa.value)
 
     for g in grads[3:]:
@@ -134,9 +134,9 @@ def test_restore_rejects_incomplete_state():
     entries = opt.state_entries()
     entries.pop("opt/step")
     with pytest.raises(CorruptState):
-        Adam.from_entries(entries)
+        Adam.from_entries(entries, {"p": ()})
     entries["opt/step"] = np.array([], dtype=np.uint64)
     with pytest.raises(CorruptState, match="'opt/step'"):
-        Adam.from_entries(entries)
+        Adam.from_entries(entries, {"p": ()})
     with pytest.raises(CorruptState):
-        SGD.from_entries({})
+        SGD.from_entries({}, {})

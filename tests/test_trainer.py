@@ -436,6 +436,36 @@ def test_load_names_a_best_parameter_the_archive_lacks(tmp_path):
         Trainer.load(path, conv_net(), identity_split())
 
 
+@pytest.mark.parametrize("entry,value", [
+    ("trainer/status", b"{"),
+    ("best/val/loss/param/0/0/weights", np.zeros((3, 3))),
+], ids=["status-json", "best-param-shape"])
+def test_a_failed_load_leaves_the_network_unchanged(tmp_path, entry, value):
+    entries = checkpoint.load(saved_trainer(tmp_path, conv_net()))
+    entries[entry] = value
+    net = conv_net()
+    net.reset_parameters(123)
+    before = [p.value.data.copy() for p in net.parameters()]
+    with pytest.raises(CorruptState, match=f"'{entry}'"):
+        Trainer.load(entries, net, identity_split())
+    after = [p.value.data for p in net.parameters()]
+    assert [a.tobytes() for a in after] == [b.tobytes() for b in before]
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_load_then_save_reproduces_the_archive_byte_for_byte(tmp_path,
+                                                             optimizer):
+    split = identity_split()
+    assert len(split.val) and len(split.test)
+    trainer = make_trainer(TrainerConfig(num_epochs=2, num_runs=2,
+                                         optimizer=optimizer, seed=3), split)
+    trainer.train()
+    first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
+    trainer.save_all(first)
+    Trainer.load(first, conv_net(), split).save_all(second)
+    assert first.read_bytes() == second.read_bytes()
+
+
 def test_export_stats_layout(tmp_path):
     cfg = TrainerConfig(num_epochs=4, num_runs=2, optimizer="sgd", lr=0.02,
                         seed=5)
