@@ -22,7 +22,7 @@ import json
 import math
 import os
 import struct
-from typing import Mapping
+from typing import Mapping, get_args, get_origin
 
 import numpy as np
 
@@ -211,17 +211,29 @@ def read_text(entries: Mapping[str, object], name: str,
         raise CorruptState(f"entry {name!r} is not UTF-8 text: {e}") from e
 
 
-def read_json(entries: Mapping[str, object], name: str, kind: type,
+def _holds(value, kind) -> bool:
+    """Whether decoded JSON is a `kind`: a type, list[...] or tuple[...]."""
+    args = get_args(kind)
+    if get_origin(kind) is list:
+        return isinstance(value, list) and all(_holds(v, *args) for v in value)
+    if get_origin(kind) is tuple:
+        return (isinstance(value, list) and len(value) == len(args)
+                and all(map(_holds, value, args)))
+    return isinstance(value, kind)
+
+
+def read_json(entries: Mapping[str, object], name: str, kind,
               default=_REQUIRED):
-    """Entry `name` parsed as JSON text holding a `kind` (dict or list)."""
+    """Entry `name` parsed as JSON text holding a `kind` (see _holds)."""
     if name not in entries:
         return _absent(name, default)
     try:
         value = json.loads(read_text(entries, name))
     except json.JSONDecodeError as e:
         raise CorruptState(f"entry {name!r} is not JSON: {e}") from e
-    if not isinstance(value, kind):
-        raise CorruptState(f"entry {name!r} must hold a JSON {kind.__name__}")
+    if not _holds(value, kind):
+        shown = kind.__name__ if isinstance(kind, type) else kind
+        raise CorruptState(f"entry {name!r} must hold a JSON {shown}")
     return value
 
 

@@ -16,16 +16,16 @@ Lists are comma-separated. The operators key separates tiers with '/';
 each tier holds either one operator set index (shared by all its blocks)
 or one index per block, e.g. "operators = 4 / 0,13 / 3". Comments are
 whole lines starting with '#' or ';'; a value holding whitespace followed
-by '#' or ';' is rejected. Validation failures name the offending line.
-A tier chain that does not map the configured [channels, size, size]
-images onto targets of that shape is a configuration error too.
+by '#' or ';' is rejected. One checker per section holds its rules
+(check_network_config, trainer.check_trainer_config, check_data_config),
+applied to the text (naming the failing line), the --seed and --folds
+overrides and an archived trainer/config. A tier chain not mapping the
+[channels, size, size] images onto targets of that shape is a config error.
 
 train archives the effective configuration (the file's values with the
---seed and --folds overrides applied, rendered by format_config) in every
-fold's checkpoint. eval builds the network and the fold split from one
-configuration, --config if given, else the archived one (--seed and
---folds apply to either), and restores the archived state into that
-network.
+overrides applied, rendered by format_config) in every fold's checkpoint;
+eval builds the network and fold split from --config, else from that one,
+with the overrides applied too, and restores the archive into it.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure.
 Errors print one line to stderr: "error: <domain>: <message>".
@@ -34,17 +34,16 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import get_args, get_origin
 
 import numpy as np
 
-from . import checkpoint, dataio, patchops
+from . import checkpoint, dataio, oplib, patchops
 from .errors import (
     NonFiniteLoss,
     OnnkitError,
@@ -64,6 +63,7 @@ from .trainer import (
     check_trainer_config,
     export_stats,
     resolve_metrics,
+    type_hints,
 )
 
 
@@ -153,10 +153,6 @@ def _parse_sections(text: str) -> dict[str, dict[str, _Raw]]:
     return sections
 
 
-# resolving the string annotations is slow, and a schema's never change
-_type_hints = functools.cache(get_type_hints)
-
-
 class _Section:
     """Typed access to one section's raw values, with line-tagged errors;
     the schema dataclass's fields give each key's type and default."""
@@ -166,8 +162,7 @@ class _Section:
         self.raw = raw
         self.schema = schema
         self.fields = {f.name: f for f in fields(schema)}
-        self.kinds = _type_hints(schema)
-        self.seen: set[str] = set()
+        self.kinds = type_hints(schema)
 
     def fail(self, key: str, message: str):
         entry = self.raw.get(key)
@@ -175,21 +170,32 @@ class _Section:
         raise ValidationError(f"{self.name}: {where}{key} {message}")
 
     def _convert(self, key: str, text: str, kind):
+        if kind == list[list[int]]:  # operators: tiers on '/', indices on ','
+            tiers = []
+            for t, tier in enumerate(text.split("/")):
+                items = [s.strip() for s in tier.split(",") if s.strip()]
+                if not items:
+                    self.fail(key, f"tier {t} has no operator set index")
+                try:
+                    tiers.append([int(s) for s in items])
+                except ValueError:
+                    self.fail(key, f"tier {t} holds a non-integer index")
+            return tiers
+        if get_origin(kind) is list:
+            items = [s.strip() for s in text.split(",") if s.strip()]
+            if not items:
+                self.fail(key, "must hold at least one value")
+            return [self._convert(key, s, *get_args(kind)) for s in items]
         try:
-            if kind is int:
-                return int(text)
-            if kind is float:
-                value = float(text)
-                if math.isnan(value):
-                    self.fail(key, f"must be a number, got {text!r}")
-                return value
-            return text
+            value = kind(text) if kind in (int, float) else text
         except ValueError:
             self.fail(key, f"must be a {kind.__name__}, got {text!r}")
+        if value != value:  # NaN
+            self.fail(key, f"must be a number, got {text!r}")
+        return value
 
     def text(self, key: str) -> str | None:
         """The key's raw value, None when it is absent and may be."""
-        self.seen.add(key)
         entry = self.raw.get(key)
         f = self.fields.get(key)
         if (entry is None and f is not None and f.default is MISSING
@@ -200,69 +206,82 @@ class _Section:
     def items(self, key: str) -> list[str]:
         """The key's comma-separated items, none when it is absent."""
         text = self.text(key)
-        if text is None:
-            return []
-        items = [t.strip() for t in text.split(",") if t.strip()]
-        if not items:
-            self.fail(key, "must hold at least one value")
-        return items
+        return [] if text is None else self._convert(key, text, list[str])
 
     def get(self, key: str):
         """The key's value converted to its field's type, or its default."""
-        kind = self.kinds[key]
-        if get_origin(kind) is list:
-            items = self.items(key)
-            if items:
-                (item_kind,) = get_args(kind)
-                return [self._convert(key, t, item_kind) for t in items]
-        else:
-            text = self.text(key)
-            if text is not None:
-                return self._convert(key, text, kind)
+        text = self.text(key)
+        if text is not None:
+            return self._convert(key, text, self.kinds[key])
         f = self.fields[key]
         return f.default if f.default_factory is MISSING else f.default_factory()
 
-    def build(self, **checked):
-        """The schema instance of the checked values, reading every other
-        key in field order."""
-        rest = {k: self.get(k) for k in self.fields if k not in checked}
-        return self.schema(**checked, **rest)
+    def build(self):
+        """The schema instance of the section's values, in field order."""
+        return self.schema(**{k: self.get(k) for k in self.fields})
 
-    def check_unknown(self):
+    def check_unknown(self, *extra: str):
         for key, entry in self.raw.items():
-            if key not in self.seen:
+            if key not in self.fields and key not in extra:
                 raise ValidationError(
                     f"{self.name}: line {entry.line}: unknown key {key!r}"
                 )
 
 
-def _parse_operators(section: _Section, key: str,
-                     tier_sizes: list[int], library_size: int) -> list[list[int]]:
-    tiers = [t.strip() for t in section.text(key).split("/")]
-    if len(tiers) != len(tier_sizes):
-        section.fail(key, f"names {len(tiers)} tiers, network has {len(tier_sizes)}")
-    result = []
-    for t, (spec_text, size) in enumerate(zip(tiers, tier_sizes)):
-        items = [s.strip() for s in spec_text.split(",") if s.strip()]
-        if not items:
-            section.fail(key, f"tier {t} has no operator set index")
-        try:
-            indices = [int(s) for s in items]
-        except ValueError:
-            section.fail(key, f"tier {t} holds a non-integer index")
+def check_network_config(get, library_size: int, fail) -> None:
+    """As check_trainer_config, for [network]; indices lie in [0, library_size)."""
+    if get("in_channels") < 1:
+        fail("in_channels", "must be at least 1")
+    tier_sizes = get("tier_sizes")
+    if any(s < 1 for s in tier_sizes):
+        fail("tier_sizes", "entries must be at least 1")
+    kernel_sizes = get("kernel_sizes")
+    if len(kernel_sizes) != len(tier_sizes):
+        fail("kernel_sizes", f"has {len(kernel_sizes)} entries, "
+                             f"tier_sizes has {len(tier_sizes)}")
+    for k in kernel_sizes:
+        if k < 1 or k % 2 == 0:
+            fail("kernel_sizes", f"entries must be odd and positive, got {k}")
+    operators = get("operators")
+    if len(operators) != len(tier_sizes):
+        fail("operators", f"names {len(operators)} tiers, network has "
+                          f"{len(tier_sizes)}")
+    for t, (indices, size) in enumerate(zip(operators, tier_sizes)):
         if len(indices) not in (1, size):
-            section.fail(
-                key,
-                f"tier {t} needs 1 or {size} indices, has {len(indices)}",
-            )
+            fail("operators",
+                 f"tier {t} needs 1 or {size} indices, has {len(indices)}")
         for idx in indices:
             if not 0 <= idx < library_size:
-                section.fail(
-                    key,
-                    f"index {idx} out of range [0, {library_size - 1}]",
-                )
-        result.append(indices)
-    return result
+                fail("operators", f"index {idx} out of range [0, {library_size - 1}]")
+    sampling = get("sampling_factors") or [1] * len(tier_sizes)
+    if len(sampling) != len(tier_sizes):
+        fail("sampling_factors",
+             f"has {len(sampling)} entries, tier_sizes has {len(tier_sizes)}")
+    if any(s == 0 for s in sampling):
+        fail("sampling_factors", "entries must be nonzero")
+    init = get("init")
+    if init not in ("uniform", "fan_in"):
+        fail("init", f"must be 'uniform' or 'fan_in', got {init!r}")
+    if get("cut") == 0:
+        fail("cut", "must be nonzero")
+    # weights are drawn from U(-b, b), whose width 2b must be a finite float
+    if not 0 <= get("init_bound") <= sys.float_info.max / 2:
+        fail("init_bound", f"must be in [0, {sys.float_info.max / 2!r}]")
+
+
+def check_data_config(get, fail) -> None:
+    """As check_trainer_config, for the [data] rules."""
+    known_tasks = dataio.SYNTHETIC_TASKS + ("folder",)
+    if get("task") not in known_tasks:
+        fail("task", f"must be one of {', '.join(known_tasks)}")
+    if get("task") == "folder" and not get("path"):
+        fail("path", "is required when task = folder")
+    for key, least in (("count", 1), ("size", 1), ("channels", 1), ("folds", 1),
+                       ("seed", 0)):
+        if get(key) < least:
+            fail(key, f"must be at least {least}")
+    if not 0.0 <= get("val_fraction") < 1.0:
+        fail("val_fraction", "must be in [0, 1)")
 
 
 def parse_config(text: str,
@@ -274,74 +293,32 @@ def parse_config(text: str,
         raise ValidationError("network: missing section [network]")
 
     net_s = _Section("network", sections["network"], NetworkConfig)
-    in_channels = net_s.get("in_channels")
-    if in_channels < 1:
-        net_s.fail("in_channels", "must be at least 1")
-    tier_sizes = net_s.get("tier_sizes")
-    if any(s < 1 for s in tier_sizes):
-        net_s.fail("tier_sizes", "entries must be at least 1")
-    kernel_sizes = net_s.get("kernel_sizes")
-    if len(kernel_sizes) != len(tier_sizes):
-        net_s.fail("kernel_sizes",
-                   f"has {len(kernel_sizes)} entries, tier_sizes has {len(tier_sizes)}")
-    for k in kernel_sizes:
-        if k < 1 or k % 2 == 0:
-            net_s.fail("kernel_sizes", f"entries must be odd and positive, got {k}")
-    operators = _parse_operators(net_s, "operators", tier_sizes, len(lib))
-    sampling = net_s.get("sampling_factors") or [1] * len(tier_sizes)
-    if len(sampling) != len(tier_sizes):
-        net_s.fail("sampling_factors",
-                   f"has {len(sampling)} entries, tier_sizes has {len(tier_sizes)}")
-    if any(s == 0 for s in sampling):
-        net_s.fail("sampling_factors", "entries must be nonzero")
-    init = net_s.get("init")
-    if init not in ("uniform", "fan_in"):
-        net_s.fail("init", f"must be 'uniform' or 'fan_in', got {init!r}")
-    network = net_s.build(in_channels=in_channels, tier_sizes=tier_sizes,
-                          kernel_sizes=kernel_sizes, operators=operators,
-                          sampling_factors=sampling, init=init)
-    if network.cut == 0:
-        net_s.fail("cut", "must be nonzero")
-    # weights are drawn from U(-b, b), whose width 2b must be a finite float
-    if not 0 <= network.init_bound <= sys.float_info.max / 2:
-        net_s.fail("init_bound", f"must be in [0, {sys.float_info.max / 2!r}]")
+    check_network_config(net_s.get, len(lib), net_s.fail)
+    network = net_s.build()
+    network.sampling_factors = (network.sampling_factors
+                                or [1] * len(network.tier_sizes))
     net_s.check_unknown()
 
     tr_s = _Section("trainer", sections.get("trainer", {}), TrainerConfig)
+    check_trainer_config(tr_s.get, tr_s.fail)
     trainer = tr_s.build()
-    check_trainer_config(trainer, tr_s.fail)
     metrics: list[tuple[str, str]] = []
     for item in tr_s.items("metrics"):
-        name, _, crit = item.partition(":")
-        name = name.strip()
-        crit = crit.strip()
+        name, _, crit = map(str.strip, item.partition(":"))
         if name == "loss":
             continue
         if name not in BUILTIN_METRICS:
-            tr_s.fail("metrics",
-                      f"unknown metric {name!r}; builtin: "
-                      f"{', '.join(sorted(BUILTIN_METRICS))}")
-        if not crit:
-            crit = BUILTIN_METRICS[name].criterion
+            tr_s.fail("metrics", f"unknown metric {name!r}; builtin: "
+                                 f"{', '.join(sorted(BUILTIN_METRICS))}")
+        crit = crit or BUILTIN_METRICS[name].criterion
         if crit not in ("max", "min"):
             tr_s.fail("metrics", f"criterion must be max or min, got {crit!r}")
         metrics.append((name, crit))
-    tr_s.check_unknown()
+    tr_s.check_unknown("metrics")
 
     da_s = _Section("data", sections.get("data", {}), DataConfig)
-    task = da_s.get("task")
-    known_tasks = dataio.SYNTHETIC_TASKS + ("folder",)
-    if task not in known_tasks:
-        da_s.fail("task", f"must be one of {', '.join(known_tasks)}")
-    data = da_s.build(task=task)
-    if task == "folder" and not data.path:
-        da_s.fail("path", "is required when task = folder")
-    for key, least in (("count", 1), ("size", 1), ("channels", 1), ("folds", 1),
-                       ("seed", 0)):
-        if getattr(data, key) < least:
-            da_s.fail(key, f"must be at least {least}")
-    if not 0.0 <= data.val_fraction < 1.0:
-        da_s.fail("val_fraction", "must be in [0, 1)")
+    check_data_config(da_s.get, da_s.fail)
+    data = da_s.build()
     da_s.check_unknown()
 
     if data.channels != network.in_channels:
@@ -436,8 +413,8 @@ def cmd_describe(cfg: FullConfig, library: OperatorSetLibrary | None = None,
             f"sampling {tier.sampling}, output {tier.size} x {mm} x {nn}",
             file=stream,
         )
-        # the pool sees the tier's input extents; a window more than half
-        # padding pools to 0 under a median, whatever the input
+        # the pool sees the tier's input extents; a median pools a window more
+        # than half padding to 0 for every input if its nodal op maps 0 to 0
         plan = patchops.get_plan(*(flow[t - 1] if t else (size, size)), *tier.kernel)
         entries = tier.in_channels * plan.patch_count * plan.patch_size
         padded = (plan.index == plan.patch_count).sum(axis=1) * 2 > plan.patch_size
@@ -447,6 +424,10 @@ def cmd_describe(cfg: FullConfig, library: OperatorSetLibrary | None = None,
             f"{plan.patch_count} windows more than half zero padding",
             file=stream,
         )
+        if padded.all() and any(g.pool.select == "median" and g.nodal in
+                                oplib.BUILTIN_NODAL for g, _, _ in tier.groups):
+            print("  every window is more than half zero padding: the median "
+                  "pool outputs 0 for every input", file=stream)
     print(f"parameters: {net.parameter_count()}", file=stream)
     return 0
 
@@ -626,13 +607,13 @@ def _load_config(args, archive: dict | None = None) -> FullConfig:
         text = _archived_config_text(archive)
     cfg = parse_config(text)
     if args.seed is not None:
-        cfg.trainer.seed = args.seed
-        check_trainer_config(cfg.trainer,
+        cfg.trainer = replace(cfg.trainer, seed=args.seed)
+        check_trainer_config(functools.partial(getattr, cfg.trainer),
                              _Section("trainer", {}, TrainerConfig).fail)
     if args.folds is not None:
-        if args.folds < 1:
-            raise ValidationError("data: folds must be at least 1")
-        cfg.data.folds = args.folds
+        cfg.data = replace(cfg.data, folds=args.folds)
+        check_data_config(functools.partial(getattr, cfg.data),
+                          _Section("data", {}, DataConfig).fail)
     return cfg
 
 

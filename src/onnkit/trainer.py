@@ -23,6 +23,7 @@ from its own build_network call.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -56,6 +57,9 @@ SNR_CAP_DB = 300.0
 # what a diverging run raises: the loss check, the stage checks of the
 # forward pass and the optimizer's gradient check
 DIVERGENCE_ERRORS = (NonFiniteLoss, NonFiniteValue, NonFiniteGradient)
+
+# resolving a schema's string annotations is slow, and they never change
+type_hints = functools.cache(get_type_hints)
 
 
 def calc_snr(pred: Tensor, target: Tensor) -> float:
@@ -130,28 +134,29 @@ class TrainerConfig:
     model_name: str = "model"
 
 
-def check_trainer_config(cfg: TrainerConfig, fail) -> None:
-    """Call fail(field, rule), which raises, on the first field of `cfg`
-    that breaks a [trainer] rule. A field holds the type of its
-    annotation (an int is no bool; a float may be an int, not NaN), then
-    the optimizer must be supported and every setting in its domain."""
-    for key, kind in get_type_hints(TrainerConfig).items():
-        value = getattr(cfg, key)  # NaN is the one value unequal to itself
+def check_trainer_config(get, fail) -> None:
+    """Call fail(field, rule), which raises, on the first field that breaks
+    a [trainer] rule, reading each value as get(field) as it checks it:
+    _Section.get on config text, so the first broken or missing key is the
+    one reported, or getattr on a built config. A field holds its
+    annotation's type: an int is no bool, a float may be an int, not NaN."""
+    for key, kind in type_hints(TrainerConfig).items():
+        value = get(key)  # NaN is the one value unequal to itself
         if (isinstance(value, bool) or value != value or not isinstance(
                 value, (int, float) if kind is float else kind)):
             fail(key, f"must be a {kind.__name__}, got {value!r}")
-    if cfg.optimizer not in optim.SUPPORTED:
+    if get("optimizer") not in optim.SUPPORTED:
         fail("optimizer", f"must be one of {', '.join(optim.SUPPORTED)}, "
-                          f"got {cfg.optimizer!r}")
+                          f"got {get('optimizer')!r}")
     for key, least in (("num_epochs", 1), ("num_runs", 1), ("batch_size", 1),
                        ("seed", 0), ("momentum", 0), ("eps", 0)):
-        if getattr(cfg, key) < least:
+        if get(key) < least:
             fail(key, f"must be at least {least}")
     for key in ("beta1", "beta2"):
-        if not 0 <= getattr(cfg, key) < 1:
+        if not 0 <= get(key) < 1:
             fail(key, "must be in [0, 1)")
     for key in ("lr", "lr_decay"):
-        if getattr(cfg, key) <= 0:
+        if get(key) <= 0:
             fail(key, "must be positive")
 
 
@@ -429,8 +434,9 @@ class Trainer:
         def corrupt(key: str, rule: str):
             raise CorruptState(f"entry 'trainer/config': {key} {rule}")
 
-        check_trainer_config(cfg, corrupt)
-        archived = checkpoint.read_json(entries, "trainer/metrics", list, [])
+        check_trainer_config(functools.partial(getattr, cfg), corrupt)
+        archived = checkpoint.read_json(entries, "trainer/metrics",
+                                        list[tuple[str, str]], [])
         trainer = cls(net, split, cfg, resolve_metrics(archived, metrics or ()),
                       checkpoint.read_text(entries, "config/text", None))
         staged = [Parameter(p.name, p.value) for p in net.parameters()]
@@ -458,14 +464,14 @@ class Trainer:
 
 def _restore_record(record: TrainingRecord, entries: dict) -> None:
     """Fill a fresh record with the archive's run status and series."""
-    stored = (checkpoint.read_json(entries, "trainer/partitions", list, None)
-              or record.partitions)
+    stored = (checkpoint.read_json(entries, "trainer/partitions", list[str],
+                                   None) or record.partitions)
     for part in dict.fromkeys(record.partitions + stored):
         if (part in stored) != (part in record.partitions):
             where = "archive" if part in stored else "split"
             raise CorruptState(f"the {part} partition is only in the {where}: "
                                f"the archive was trained on {', '.join(stored)}")
-    record.run_status = checkpoint.read_json(entries, "trainer/status", list, [])
+    record.run_status = checkpoint.read_json(entries, "trainer/status", list[str], [])
     for r in range(len(record.run_status)):
         for column, runs in record.columns().items():
             runs.append(checkpoint.read_array(

@@ -1,6 +1,7 @@
 """CLI: config grammar, error lines, commands end to end, exit codes."""
 import contextlib
 import dataclasses
+import functools
 import io
 import json
 import re
@@ -13,12 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import onnkit.autograd as ag
 import onnkit.checkpoint as ckpt_mod
 import onnkit.cli as cli_mod
 from onnkit.cli import (
     DataConfig,
     FullConfig,
     NetworkConfig,
+    check_data_config,
+    check_network_config,
     cmd_eval,
     cmd_gradcheck,
     format_config,
@@ -26,8 +30,12 @@ from onnkit.cli import (
     parse_config,
 )
 from onnkit.errors import NonFiniteLoss, ParseError, ValidationError
-from onnkit.oplib import add_custom_operator, register_builtin_library
-from onnkit.trainer import Trainer, TrainerConfig
+from onnkit.oplib import (
+    OperatorConstants,
+    add_custom_operator,
+    register_builtin_library,
+)
+from onnkit.trainer import Trainer, TrainerConfig, check_trainer_config
 
 BASE = """\
 [network]
@@ -266,6 +274,20 @@ def test_parse_inverts_format_on_every_valid_config(cfg):
     assert parse_config(format_config(cfg)) == cfg
 
 
+@settings(max_examples=200, deadline=None)
+@given(full_configs())
+def test_every_valid_config_passes_the_section_checkers_as_built(cfg):
+    # the getattr path the overrides and archives take accepts every
+    # config the text path parses
+    def fail(key, rule):
+        raise AssertionError(f"{key} {rule}")
+
+    check_network_config(functools.partial(getattr, cfg.network),
+                         len(register_builtin_library()), fail)
+    check_trainer_config(functools.partial(getattr, cfg.trainer), fail)
+    check_data_config(functools.partial(getattr, cfg.data), fail)
+
+
 def test_module_docstring_lists_the_config_dataclass_fields():
     block = cli_mod.__doc__.split("three sections:\n\n")[1].split("\n\n")[0]
     listed = {name: [k.strip() for k in keys.split(",")]
@@ -336,6 +358,30 @@ def test_describe_reports_tier_costs_and_padding(tmp_path):
         "  per sample: patch matrix 589824 bytes, 73728 nodal evaluations, "
         "4 of 256 windows more than half zero padding",
     ]
+
+
+@pytest.mark.parametrize("operators,flagged", [(3, True), (0, False)],
+                         ids=["mul-median-tanh", "mul-sum-tanh"])
+def test_describe_flags_a_median_tier_that_is_all_padding(tmp_path, operators,
+                                                          flagged):
+    # a 7x7 window on a 4x4 image is more than half padding everywhere
+    text = BASE.replace("kernel_sizes = 3", "kernel_sizes = 7").replace(
+        "operators = 2", f"operators = {operators}").replace("size = 6",
+                                                             "size = 4")
+    code, out, err = run_cli(["describe", "--config",
+                              str(write_config(tmp_path, text))])
+    assert (code, err) == (0, [])
+    assert "16 of 16 windows more than half zero padding" in out[2]
+    line = ("  every window is more than half zero padding: the median pool "
+            "outputs 0 for every input")
+    assert (line in out) == flagged
+    # and the median tier's output is the same for every input
+    net = cli_mod.network_from_config(parse_config(text))
+    net.reset_parameters(3)
+    outputs = {net.tiers[0].forward(ag.as_variable(x), None,
+                                    OperatorConstants()).value.tobytes()
+               for x in np.random.default_rng(0).normal(size=(3, 1, 4, 4))}
+    assert (len(outputs) == 1) == flagged
 
 
 def write_config(tmp_path, text=BASE):
@@ -524,12 +570,21 @@ def _test_loss_best_copied_to(base):
      "'best/test/psnr/epoch' is the best of no partition and metric"),
     ("best/zzz/loss/value", _test_loss_best_copied_to("best/zzz/loss/"),
      "'best/zzz/loss/epoch' is the best of no partition and metric"),
+    ("trainer/partitions", lambda e: b"[1]",
+     "'trainer/partitions' must hold a JSON list[str]"),
+    ("trainer/metrics", lambda e: b'[["loss"]]',
+     "'trainer/metrics' must hold a JSON list[tuple[str, str]]"),
+    ("trainer/metrics", lambda e: b'["loss"]',
+     "'trainer/metrics' must hold a JSON list[tuple[str, str]]"),
+    ("trainer/status", lambda e: b"[1, 2]",
+     "'trainer/status' must hold a JSON list[str]"),
 ], ids=["run-empty", "fold-empty", "best-epoch-float", "best-value-two",
         "status-json", "config-key", "config-str-int", "config-seed",
         "config-float-int", "config-float", "text-utf8", "rng-state",
         "metric-criterion", "stats-bytes", "param-bytes", "param-u64",
         "best-param-bytes", "best-param-shape", "opt-slot-bytes",
-        "opt-hyper-bytes", "best-unknown-metric", "best-unknown-partition"])
+        "opt-hyper-bytes", "best-unknown-metric", "best-unknown-partition",
+        "partitions-int", "metric-unpaired", "metric-str", "status-int"])
 def test_a_corrupt_archive_entry_is_one_runtime_error_naming_it(
         tmp_path, entry, tamper, message):
     entries = ckpt_mod.load(Path(__file__).parent / "data"
@@ -906,6 +961,17 @@ def test_a_negative_seed_override_is_a_trainer_error(base_out, tmp_path,
             "eval": ["--ckpt", str(out / "fold0.ckpt")]}[command]
     assert run_cli([command, *argv, "--seed", "-1"]) == (
         1, [], ["error: trainer: seed must be at least 0"])
+
+
+@pytest.mark.parametrize("command", ["train", "gradcheck", "eval", "describe"])
+def test_a_zero_folds_override_is_a_data_error(base_out, tmp_path, command):
+    out, path = base_out
+    argv = {"train": ["--config", str(path), "--out", str(tmp_path / "x")],
+            "gradcheck": ["--config", str(path)],
+            "eval": ["--ckpt", str(out / "fold0.ckpt")],
+            "describe": ["--config", str(path)]}[command]
+    assert run_cli([command, *argv, "--folds", "0"]) == (
+        1, [], ["error: data: folds must be at least 1"])
 
 
 def test_eval_decodes_its_archive_once(base_out, monkeypatch):
