@@ -18,10 +18,10 @@ from .autograd import (
 )
 from .errors import OnnkitError
 from .network import (
+    NetworkConfig,
     OpBlock,
     OpNetwork,
     OpTier,
-    build_network,
     check_operator_set_gradients,
     network_forward,
 )
@@ -51,6 +51,7 @@ __all__ = [
     "CustomBackward",
     "GradcheckReport",
     "MetricSpec",
+    "NetworkConfig",
     "OnnkitError",
     "OpBlock",
     "OpNetwork",
@@ -70,7 +71,6 @@ __all__ = [
     "add_custom_operator",
     "apply_custom",
     "backward",
-    "build_network",
     "calc_snr",
     "check_operator_set_gradients",
     "export_stats",

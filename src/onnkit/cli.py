@@ -17,9 +17,10 @@ each tier holds either one operator set index (shared by all its blocks)
 or one index per block, e.g. "operators = 4 / 0,13 / 3". Comments are
 whole lines starting with '#' or ';'; a value holding whitespace followed
 by '#' or ';' is rejected. One checker per section holds its rules
-(check_network_config, trainer.check_trainer_config, check_data_config),
-applied to the text (naming the failing line), the --seed and --folds
-overrides and an archived trainer/config. A tier chain not mapping the
+(network.check_network_config, trainer.check_trainer_config,
+check_data_config), applied to the text (naming the failing line), the
+--seed and --folds overrides and an archived trainer/config; OpNetwork
+runs the first on every config it builds. A tier chain not mapping the
 [channels, size, size] images onto targets of that shape is a config error.
 
 train archives the effective configuration (the file's values with the
@@ -52,8 +53,9 @@ from .errors import (
     UnfitNetwork,
     ValidationError,
 )
-from .network import OpNetwork, build_network, check_operator_set_gradients
-from .oplib import OperatorConstants, OperatorSetLibrary, register_builtin_library
+from .network import (NetworkConfig, OpNetwork, check_network_config,
+                      check_operator_set_gradients)
+from .oplib import OperatorSetLibrary, register_builtin_library
 from .tensor import Tensor
 from .trainer import (
     BUILTIN_METRICS,
@@ -65,21 +67,6 @@ from .trainer import (
     resolve_metrics,
     type_hints,
 )
-
-
-@dataclass(kw_only=True)
-class NetworkConfig:
-    in_channels: int = 1
-    tier_sizes: list[int]
-    kernel_sizes: list[int]
-    operators: list[list[int]]
-    # empty: 1 for every tier
-    sampling_factors: list[int] = field(default_factory=list)
-    k_sin: float = float(np.pi)
-    k_chirp: float = float(np.pi)
-    cut: float = 10.0
-    init: str = "uniform"
-    init_bound: float = 0.1
 
 
 @dataclass(kw_only=True)
@@ -228,47 +215,6 @@ class _Section:
                 )
 
 
-def check_network_config(get, library_size: int, fail) -> None:
-    """As check_trainer_config, for [network]; indices lie in [0, library_size)."""
-    if get("in_channels") < 1:
-        fail("in_channels", "must be at least 1")
-    tier_sizes = get("tier_sizes")
-    if any(s < 1 for s in tier_sizes):
-        fail("tier_sizes", "entries must be at least 1")
-    kernel_sizes = get("kernel_sizes")
-    if len(kernel_sizes) != len(tier_sizes):
-        fail("kernel_sizes", f"has {len(kernel_sizes)} entries, "
-                             f"tier_sizes has {len(tier_sizes)}")
-    for k in kernel_sizes:
-        if k < 1 or k % 2 == 0:
-            fail("kernel_sizes", f"entries must be odd and positive, got {k}")
-    operators = get("operators")
-    if len(operators) != len(tier_sizes):
-        fail("operators", f"names {len(operators)} tiers, network has "
-                          f"{len(tier_sizes)}")
-    for t, (indices, size) in enumerate(zip(operators, tier_sizes)):
-        if len(indices) not in (1, size):
-            fail("operators",
-                 f"tier {t} needs 1 or {size} indices, has {len(indices)}")
-        for idx in indices:
-            if not 0 <= idx < library_size:
-                fail("operators", f"index {idx} out of range [0, {library_size - 1}]")
-    sampling = get("sampling_factors") or [1] * len(tier_sizes)
-    if len(sampling) != len(tier_sizes):
-        fail("sampling_factors",
-             f"has {len(sampling)} entries, tier_sizes has {len(tier_sizes)}")
-    if any(s == 0 for s in sampling):
-        fail("sampling_factors", "entries must be nonzero")
-    init = get("init")
-    if init not in ("uniform", "fan_in"):
-        fail("init", f"must be 'uniform' or 'fan_in', got {init!r}")
-    if get("cut") == 0:
-        fail("cut", "must be nonzero")
-    # weights are drawn from U(-b, b), whose width 2b must be a finite float
-    if not 0 <= get("init_bound") <= sys.float_info.max / 2:
-        fail("init_bound", f"must be in [0, {sys.float_info.max / 2!r}]")
-
-
 def check_data_config(get, fail) -> None:
     """As check_trainer_config, for the [data] rules."""
     known_tasks = dataio.SYNTHETIC_TASKS + ("folder",)
@@ -327,8 +273,20 @@ def parse_config(text: str,
     return FullConfig(network=network, trainer=trainer, data=data, metrics=metrics)
 
 
+def check_config(cfg: FullConfig, library: OperatorSetLibrary) -> None:
+    """Run the three section checkers on a built config, naming no line."""
+    def section(name, schema):
+        return (functools.partial(getattr, getattr(cfg, name)),
+                _Section(name, {}, schema).fail)
+    get, fail = section("network", NetworkConfig)
+    check_network_config(get, len(library), fail)
+    check_trainer_config(*section("trainer", TrainerConfig))
+    check_data_config(*section("data", DataConfig))
+
+
 def format_config(cfg: FullConfig) -> str:
-    """Render a configuration as canonical text; parse() round-trips it."""
+    """Render a configuration as canonical text; parse() round-trips it. A
+    str field the text cannot hold raises ValidationError."""
     lines = []
     for name in _SECTIONS:
         section = getattr(cfg, name)
@@ -340,6 +298,10 @@ def format_config(cfg: FullConfig) -> str:
             elif isinstance(value, list):
                 # an empty list is an absent key: sampling_factors' 1 per tier
                 value = ", ".join(map(str, value)) or None
+            elif isinstance(value, str) and (len(value.splitlines()) > 1 or re.search(
+                    r"^\s|\s$|(^|\s)[#;]", value)):  # line break, end space, comment
+                raise ValidationError(f"{name}: {f.name} {value!r} cannot be "
+                                      "written as config text")
             if value is not None:
                 lines.append(f"{f.name} = {value}")
         if name == "trainer" and cfg.metrics:
@@ -353,13 +315,7 @@ def format_config(cfg: FullConfig) -> str:
 
 def network_from_config(cfg: FullConfig,
                         library: OperatorSetLibrary | None = None) -> OpNetwork:
-    lib = library or register_builtin_library()
-    n = cfg.network
-    constants = OperatorConstants(k_sin=n.k_sin, k_chirp=n.k_chirp, cut=n.cut)
-    sampling = n.sampling_factors or [1] * len(n.tier_sizes)
-    return build_network(n.in_channels, n.tier_sizes, n.kernel_sizes,
-                         n.operators, sampling, lib, constants,
-                         (n.init, n.init_bound))
+    return OpNetwork(cfg.network, library)
 
 
 def dataset_from_config(cfg: FullConfig) -> dataio.PairedImageDataset:
@@ -397,6 +353,7 @@ def cmd_describe(cfg: FullConfig, library: OperatorSetLibrary | None = None,
                  stream=None) -> int:
     stream = stream or sys.stdout
     lib = library or register_builtin_library()
+    check_config(cfg, lib)
     net = network_from_config(cfg, lib)
     size = cfg.data.size
     images = (cfg.data.channels, size, size)
@@ -432,12 +389,11 @@ def cmd_describe(cfg: FullConfig, library: OperatorSetLibrary | None = None,
     return 0
 
 
-def _train_one_fold(cfg: FullConfig, split, library, seed):
+def _train_one_fold(cfg: FullConfig, text: str, library, split, seed):
     """The fold's trainer, and the error if every one of its runs diverged."""
     net = network_from_config(cfg, library)
     fold_cfg = replace(cfg.trainer, seed=seed)
-    trainer = Trainer(net, split, fold_cfg, resolve_metrics(cfg.metrics),
-                      format_config(cfg))
+    trainer = Trainer(net, split, fold_cfg, resolve_metrics(cfg.metrics), text)
     try:
         trainer.train()
     except NonFiniteLoss as e:
@@ -448,16 +404,16 @@ def _train_one_fold(cfg: FullConfig, split, library, seed):
 def cmd_train(cfg: FullConfig, out_dir, jobs: int = 1,
               library: OperatorSetLibrary | None = None) -> int:
     lib = library or register_builtin_library()
+    check_config(cfg, lib)
+    text = format_config(cfg)
     splits = _splits_from_config(cfg)
     seeds = [_fold_seed(cfg.trainer.seed, s.fold) for s in splits]
+    train = functools.partial(_train_one_fold, cfg, text, lib)
     if jobs > 1 and len(splits) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(
-                lambda args: _train_one_fold(cfg, args[0], lib, args[1]),
-                zip(splits, seeds)))
+            results = list(pool.map(train, splits, seeds))
     else:
-        results = [_train_one_fold(cfg, s, lib, seed)
-                   for s, seed in zip(splits, seeds)]
+        results = list(map(train, splits, seeds))
     trainers = [trainer for trainer, _ in results]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -481,6 +437,7 @@ def cmd_gradcheck(cfg: FullConfig,
                   stream=None) -> int:
     stream = stream or sys.stdout
     lib = library or register_builtin_library()
+    check_config(cfg, lib)
     indices = sorted({i for tier in cfg.network.operators for i in tier})
     failures = 0
     for idx in indices:
@@ -520,6 +477,7 @@ def cmd_eval(ckpt_path, cfg: FullConfig | None = None,
                else checkpoint.load(ckpt_path))
     if cfg is None:
         cfg = parse_config(_archived_config_text(entries), lib)
+    check_config(cfg, lib)
     splits = _splits_from_config(cfg)
     fold = checkpoint.read_scalar(entries, "trainer/fold", default=0)
     if fold >= len(splits):
@@ -608,12 +566,8 @@ def _load_config(args, archive: dict | None = None) -> FullConfig:
     cfg = parse_config(text)
     if args.seed is not None:
         cfg.trainer = replace(cfg.trainer, seed=args.seed)
-        check_trainer_config(functools.partial(getattr, cfg.trainer),
-                             _Section("trainer", {}, TrainerConfig).fail)
     if args.folds is not None:
         cfg.data = replace(cfg.data, folds=args.folds)
-        check_data_config(functools.partial(getattr, cfg.data),
-                          _Section("data", {}, DataConfig).fail)
     return cfg
 
 

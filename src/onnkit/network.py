@@ -27,15 +27,21 @@ pool once, over the full patch matrix.
 
 A network chains tiers; with every block set to (mul, sum, identity) and
 zero biases it computes an ordinary multi-channel convolution stack.
+A NetworkConfig describes it; OpNetwork, the one network constructor,
+runs check_network_config on that description before building a tier.
 """
 from __future__ import annotations
+
+import functools
+import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autograd as ag
 from . import patchops
 from .autograd import Parameter, Tape, Variable
-from .errors import IndivisibleExtent, ShapeMismatch, UnfitNetwork
+from .errors import IndivisibleExtent, ShapeMismatch, UnfitNetwork, ValidationError
 from .oplib import (
     DEFAULT_CONSTANTS,
     OperatorConstants,
@@ -44,9 +50,73 @@ from .oplib import (
     evaluate_activation,
     evaluate_nodal,
     evaluate_pool,
+    register_builtin_library,
     scale_winners,
 )
 from .tensor import Tensor
+
+
+@dataclass(kw_only=True)
+class NetworkConfig:
+    """A network described tier by tier; its fields are [network]'s keys."""
+    in_channels: int = 1
+    tier_sizes: list[int]
+    kernel_sizes: list[int]
+    operators: list[list[int]]
+    # empty: 1 for every tier
+    sampling_factors: list[int] = field(default_factory=list)
+    k_sin: float = float(np.pi)
+    k_chirp: float = float(np.pi)
+    cut: float = 10.0
+    init: str = "uniform"
+    init_bound: float = 0.1
+
+
+def check_network_config(get, library_size: int, fail) -> None:
+    """As trainer.check_trainer_config, for [network]; indices in [0, library_size)."""
+    if get("in_channels") < 1:
+        fail("in_channels", "must be at least 1")
+    tier_sizes = get("tier_sizes")
+    if not tier_sizes:
+        fail("tier_sizes", "must hold at least one value")
+    if any(s < 1 for s in tier_sizes):
+        fail("tier_sizes", "entries must be at least 1")
+    kernel_sizes = get("kernel_sizes")
+    if len(kernel_sizes) != len(tier_sizes):
+        fail("kernel_sizes", f"has {len(kernel_sizes)} entries, "
+                             f"tier_sizes has {len(tier_sizes)}")
+    for k in kernel_sizes:
+        if k < 1 or k % 2 == 0:
+            fail("kernel_sizes", f"entries must be odd and positive, got {k}")
+    operators = get("operators")
+    if len(operators) != len(tier_sizes):
+        fail("operators", f"names {len(operators)} tiers, network has "
+                          f"{len(tier_sizes)}")
+    for t, (indices, size) in enumerate(zip(operators, tier_sizes)):
+        if len(indices) not in (1, size):
+            fail("operators",
+                 f"tier {t} needs 1 or {size} indices, has {len(indices)}")
+        for idx in indices:
+            if not 0 <= idx < library_size:
+                fail("operators", f"index {idx} out of range [0, {library_size - 1}]")
+    sampling = get("sampling_factors") or [1] * len(tier_sizes)
+    if len(sampling) != len(tier_sizes):
+        fail("sampling_factors",
+             f"has {len(sampling)} entries, tier_sizes has {len(tier_sizes)}")
+    if any(s == 0 for s in sampling):
+        fail("sampling_factors", "entries must be nonzero")
+    init = get("init")
+    if init not in ("uniform", "fan_in"):
+        fail("init", f"must be 'uniform' or 'fan_in', got {init!r}")
+    if get("cut") == 0:
+        fail("cut", "must be nonzero")
+    # weights are drawn from U(-b, b), whose width 2b must be a finite float
+    if not 0 <= get("init_bound") <= sys.float_info.max / 2:
+        fail("init_bound", f"must be in [0, {sys.float_info.max / 2!r}]")
+
+
+def _fail(key: str, rule: str):
+    raise ValidationError(f"network: {key} {rule}")
 
 
 class OpBlock:
@@ -101,18 +171,12 @@ def block_forward(opset: OperatorSet, weights: Variable, bias: Variable,
 class OpTier:
     """A bank of blocks sharing one patch extraction, plus resampling.
 
-    The blocks are grouped by operator set once, here; a forward pass
-    evaluates each group in one block_forward call.
+    The blocks, one per opsets entry, are grouped by operator set once,
+    here; a forward pass evaluates each group in one block_forward call.
     """
 
     def __init__(self, in_channels: int, size: int, kernel: tuple[int, int],
                  opsets: list[OperatorSet], sampling: int, name: str):
-        if len(opsets) == 1:
-            opsets = opsets * size
-        if len(opsets) != size:
-            raise ShapeMismatch(
-                f"tier {name!r} has {size} blocks but {len(opsets)} operator sets"
-            )
         self.in_channels = in_channels
         self.size = size
         self.kernel = kernel
@@ -171,27 +235,24 @@ class OpTier:
 
 
 class OpNetwork:
-    """A chain of tiers mapping [C_in, M, N] images to [K_last, M', N']."""
+    """A chain of tiers mapping [C_in, M, N] images to [K_last, M', N'],
+    built from a config check_network_config accepts (else ValidationError
+    "network: <field> <rule>"), its indices decoded in library."""
 
-    def __init__(self, in_channels: int, tier_sizes: list[int],
-                 kernel_sizes: list[int], opsets_per_tier: list[list[OperatorSet]],
-                 sampling_factors: list[int],
-                 constants: OperatorConstants = DEFAULT_CONSTANTS,
-                 init: tuple[str, float] = ("uniform", 0.1)):
-        counts = {len(tier_sizes), len(kernel_sizes), len(opsets_per_tier),
-                  len(sampling_factors)}
-        if len(counts) != 1:
-            raise ShapeMismatch("per-tier argument lists have different lengths")
-        if not tier_sizes:
-            raise ShapeMismatch("a network needs at least one tier")
-        self.in_channels = in_channels
-        self.constants = constants
-        self.init = init
+    def __init__(self, config: NetworkConfig,
+                 library: OperatorSetLibrary | None = None):
+        lib = library or register_builtin_library()
+        check_network_config(functools.partial(getattr, config), len(lib), _fail)
+        self.in_channels = channels = config.in_channels
+        self.constants = OperatorConstants(config.k_sin, config.k_chirp, config.cut)
+        self.init = (config.init, config.init_bound)
         self.tiers: list[OpTier] = []
-        channels = in_channels
-        for t, (size, ks, opsets, s) in enumerate(
-                zip(tier_sizes, kernel_sizes, opsets_per_tier, sampling_factors)):
-            self.tiers.append(OpTier(channels, size, (ks, ks), opsets, s, str(t)))
+        for t, (size, ks, indices, s) in enumerate(zip(
+                config.tier_sizes, config.kernel_sizes, config.operators,
+                config.sampling_factors or [1] * len(config.tier_sizes))):
+            opsets = [lib.decode(i) for i in indices]  # a lone index serves every block
+            self.tiers.append(OpTier(channels, size, (ks, ks),
+                                     opsets * (size // len(opsets)), s, str(t)))
             channels = size
 
     @property
@@ -315,18 +376,3 @@ def check_operator_set_gradients(library: OperatorSetLibrary, index: int, *,
         if report.clean(GRADCHECK_MARGIN):
             return report
     return report
-
-
-def build_network(in_channels: int, tier_sizes: list[int],
-                  kernel_sizes: list[int], operator_indices: list[list[int]],
-                  sampling_factors: list[int], library: OperatorSetLibrary,
-                  constants: OperatorConstants = DEFAULT_CONSTANTS,
-                  init: tuple[str, float] = ("uniform", 0.1)) -> OpNetwork:
-    """Construct a network from per-tier operator set indices.
-
-    A tier's index list holds either one index, shared by all its blocks,
-    or exactly one index per block.
-    """
-    opsets = [[library.decode(i) for i in tier] for tier in operator_indices]
-    return OpNetwork(in_channels, tier_sizes, kernel_sizes, opsets,
-                     sampling_factors, constants, init)

@@ -18,7 +18,7 @@ given one, the text of the configuration it ran. The archive does not
 describe the network. load restores the state into a network the caller
 built, so training continues exactly where it stopped, bit for bit; the
 command line builds that network from the configuration, a library caller
-from its own build_network call.
+from its own OpNetwork(NetworkConfig(...)) call.
 """
 from __future__ import annotations
 

@@ -16,7 +16,8 @@ import onnkit.patchops as patchops
 from onnkit.cli import cmd_describe, cmd_train, parse_config
 from onnkit.dataio import make_synthetic_task, partition
 from onnkit.network import (
-    build_network,
+    NetworkConfig,
+    OpNetwork,
     check_operator_set_gradients,
     network_forward,
 )
@@ -53,8 +54,9 @@ def test_criterion_01_convolution_oracle_equivalence(capsys):
         width = int(rng.integers(3, 17))
         img = rng.uniform(-1, 1, size=(channels, height, width))
         k = rng.uniform(-1, 1, size=(channels, kernel, kernel))
-        net = build_network(channels, [1], [kernel], [[CONV]], [1],
-                            library=LIB)
+        net = OpNetwork(NetworkConfig(in_channels=channels, tier_sizes=[1],
+                                      kernel_sizes=[kernel],
+                                      operators=[[CONV]]), LIB)
         # the engine's patch dot product is a correlation; flipping the
         # kernel on both spatial axes makes it the oracle's convolution
         net.tiers[0].blocks[0].weights.assign(Tensor(np.flip(k, axis=(1, 2))))
@@ -177,8 +179,8 @@ def test_criterion_04_nonlinear_map_training(capsys, tmp_path):
     sine = LIB.set_by_names("sine", "sum", "tanh").index
     ds = make_synthetic_task("nonlinear-map", count=64, size=16, seed=0)
     (split,) = partition(ds, folds=1, seed=0)
-    net = build_network(1, [4, 1], [3, 3], [[sine], [CONV]], [1, 1],
-                        library=LIB)
+    net = OpNetwork(NetworkConfig(tier_sizes=[4, 1], kernel_sizes=[3, 3],
+                                  operators=[[sine], [CONV]]), LIB)
     cfg = TrainerConfig(num_epochs=60, num_runs=1, optimizer="adam", lr=0.01,
                         batch_size=8, seed=0)
     trainer = Trainer(net, split, cfg, metrics=[BUILTIN_METRICS["snr"]])
@@ -205,7 +207,8 @@ def test_criterion_04_nonlinear_map_training(capsys, tmp_path):
 def test_criterion_05_blur_inverse_least_squares(capsys):
     ds = make_synthetic_task("blur-inverse", count=32, size=16, seed=0)
     (split,) = partition(ds, folds=1, seed=0)
-    net = build_network(1, [1], [9], [[CONV]], [1], library=LIB)
+    net = OpNetwork(NetworkConfig(tier_sizes=[1], kernel_sizes=[9],
+                                  operators=[[CONV]]), LIB)
     cfg = TrainerConfig(num_epochs=250, num_runs=1, optimizer="adam", lr=0.03,
                         batch_size=8, seed=0)
     net.reset_parameters(cfg.seed ^ 0)  # the same reset the first run applies
@@ -230,7 +233,8 @@ def test_criterion_06_checkpoint_resumption_is_bitwise(capsys, tmp_path):
     base = dict(num_runs=1, optimizer="adam", lr=0.02, batch_size=4, seed=9)
 
     def fresh_net():
-        return build_network(1, [1], [3], [[CONV]], [1], library=LIB)
+        return OpNetwork(NetworkConfig(tier_sizes=[1], kernel_sizes=[3],
+                                       operators=[[CONV]]), LIB)
 
     def fresh_trainer(epochs):
         return Trainer(fresh_net(), split,
@@ -336,7 +340,8 @@ def test_criterion_09_heterogeneous_tier(capsys):
     outs = {}
     for tag, pair in (("mixed", [sine, mul]), ("sine", [sine]),
                       ("mul", [mul])):
-        net = build_network(1, [2], [3], [pair], [1], library=LIB)
+        net = OpNetwork(NetworkConfig(tier_sizes=[2], kernel_sizes=[3],
+                                      operators=[pair]), LIB)
         net.reset_parameters(7)  # identical weights in all three variants
         outs[tag] = network_forward(net, img).data
 

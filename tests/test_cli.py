@@ -30,6 +30,7 @@ from onnkit.cli import (
     parse_config,
 )
 from onnkit.errors import NonFiniteLoss, ParseError, ValidationError
+from onnkit.network import OpNetwork
 from onnkit.oplib import (
     OperatorConstants,
     add_custom_operator,
@@ -286,6 +287,39 @@ def test_every_valid_config_passes_the_section_checkers_as_built(cfg):
                          len(register_builtin_library()), fail)
     check_trainer_config(functools.partial(getattr, cfg.trainer), fail)
     check_data_config(functools.partial(getattr, cfg.data), fail)
+    OpNetwork(cfg.network)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.text(st.sampled_from("ab =#;[]\t\n\r\x0b\x1c\x85\u2028"),
+                    max_size=6) | st.text(max_size=6))
+def test_format_config_writes_a_str_field_iff_the_text_holds_it(name):
+    # a library-built config may hold any name; format_config must refuse
+    # exactly the names that parse_config would not read back
+    cfg = parse_config(BASE)
+    try:
+        format_config(dataclasses.replace(
+            cfg, trainer=dataclasses.replace(cfg.trainer, model_name=name)))
+        written = True
+    except ValidationError as e:
+        assert str(e).startswith(f"trainer: model_name {name!r} ")
+        written = False
+    text = format_config(cfg).replace("model_name = model\n",
+                                      f"model_name = {name}\n")
+    try:
+        read = parse_config(text).trainer.model_name == name
+    except (ParseError, ValidationError):
+        read = False
+    assert written == read
+
+
+def test_train_refuses_a_name_its_archived_text_cannot_hold(tmp_path):
+    cfg = parse_config(BASE)
+    cfg.trainer = dataclasses.replace(cfg.trainer, model_name="run 1 #2")
+    with pytest.raises(ValidationError,
+                       match=r"^trainer: model_name 'run 1 #2' cannot"):
+        cli_mod.cmd_train(cfg, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_module_docstring_lists_the_config_dataclass_fields():
@@ -972,6 +1006,31 @@ def test_a_zero_folds_override_is_a_data_error(base_out, tmp_path, command):
             "describe": ["--config", str(path)]}[command]
     assert run_cli([command, *argv, "--folds", "0"]) == (
         1, [], ["error: data: folds must be at least 1"])
+
+
+@pytest.mark.parametrize("command,section,change,message", [
+    ("train", "trainer", {"seed": -1}, "trainer: seed must be at least 0"),
+    ("gradcheck", "trainer", {"seed": -1}, "trainer: seed must be at least 0"),
+    ("describe", "network", {"operators": [[99]]},
+     "network: operators index 99 out of range [0, 53]"),
+    ("eval", "network", {"operators": [[99]]},
+     "network: operators index 99 out of range [0, 53]"),
+], ids=["train", "gradcheck", "describe", "eval"])
+def test_every_command_checks_the_config_it_is_given(
+        base_out, tmp_path, command, section, change, message):
+    # a library caller hands the command a built config, not text
+    out, _ = base_out
+    cfg = parse_config(BASE)
+    setattr(cfg, section, dataclasses.replace(getattr(cfg, section), **change))
+    quiet = io.StringIO()
+    run = {"train": lambda: cli_mod.cmd_train(cfg, tmp_path / "x"),
+           "gradcheck": lambda: cmd_gradcheck(cfg, stream=quiet),
+           "describe": lambda: cli_mod.cmd_describe(cfg, stream=quiet),
+           "eval": lambda: cmd_eval(str(out / "fold0.ckpt"), cfg,
+                                    stream=quiet)}[command]
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        run()
+    assert quiet.getvalue() == "" and not (tmp_path / "x").exists()
 
 
 def test_eval_decodes_its_archive_once(base_out, monkeypatch):

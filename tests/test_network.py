@@ -15,11 +15,12 @@ from onnkit.errors import (
     NonFiniteLoss,
     NonFiniteValue,
     ShapeMismatch,
+    ValidationError,
 )
 from onnkit.network import (
+    NetworkConfig,
     OpNetwork,
     block_forward,
-    build_network,
     check_operator_set_gradients,
     network_forward,
 )
@@ -40,8 +41,9 @@ def conv_index(lib):
 
 
 def make_conv_net(lib, in_channels, kernel):
-    return build_network(in_channels, [1], [kernel], [[conv_index(lib)]], [1],
-                         library=lib)
+    return OpNetwork(NetworkConfig(in_channels=in_channels, tier_sizes=[1],
+                                   kernel_sizes=[kernel],
+                                   operators=[[conv_index(lib)]]), lib)
 
 
 @pytest.mark.parametrize("channels,size,kernel", [
@@ -76,35 +78,40 @@ def test_convolution_bias_is_subtracted(lib):
 
 
 def test_parameter_count_for_three_tier_model(lib):
-    net = build_network(1, [12, 32, 1], [21, 7, 3],
-                        [[0], [0], [conv_index(lib)]], [2, -2, 1], library=lib)
+    net = OpNetwork(NetworkConfig(tier_sizes=[12, 32, 1],
+                                  kernel_sizes=[21, 7, 3],
+                                  operators=[[0], [0], [conv_index(lib)]],
+                                  sampling_factors=[2, -2, 1]), lib)
     want = 12 * (1 * 21 * 21 + 1) + 32 * (12 * 7 * 7 + 1) + 1 * (32 * 3 * 3 + 1)
     assert want == 24441
     assert net.parameter_count() == want
 
 
 def test_parameter_names_are_unique(lib):
-    net = build_network(1, [3, 2], [3, 3], [[0], [1]], [1, 1], library=lib)
+    net = OpNetwork(NetworkConfig(tier_sizes=[3, 2], kernel_sizes=[3, 3],
+                                  operators=[[0], [1]]), lib)
     names = [p.name for p in net.parameters()]
     assert len(names) == len(set(names))
     assert "0/0/weights" in names and "1/1/bias" in names
 
 
 def test_spatial_flow_with_sampling(lib):
-    net = build_network(1, [4, 4, 1], [3, 3, 3], [[0], [0], [2]], [2, -2, 1],
-                        library=lib)
+    net = OpNetwork(NetworkConfig(tier_sizes=[4, 4, 1], kernel_sizes=[3, 3, 3],
+                                  operators=[[0], [0], [2]],
+                                  sampling_factors=[2, -2, 1]), lib)
     assert net.spatial_flow((32, 32)) == [(16, 16), (32, 32), (32, 32)]
 
 
 def test_indivisible_sampling_is_reported(lib):
-    net = build_network(1, [1], [3], [[0]], [2], library=lib)
+    net = OpNetwork(NetworkConfig(tier_sizes=[1], kernel_sizes=[3],
+                                  operators=[[0]], sampling_factors=[2]), lib)
     with pytest.raises(IndivisibleExtent):
         net.spatial_flow((5, 6))
 
 
 def test_batch_output_matches_per_sample_bitwise(lib):
-    net = build_network(1, [3, 1], [3, 3], [[4, 9, 28], [2]], [1, 1],
-                        library=lib)
+    net = OpNetwork(NetworkConfig(tier_sizes=[3, 1], kernel_sizes=[3, 3],
+                                  operators=[[4, 9, 28], [2]]), lib)
     net.reset_parameters(11)
     rng = np.random.default_rng(12)
     batch = rng.uniform(-1, 1, size=(3, 1, 6, 6))
@@ -115,8 +122,10 @@ def test_batch_output_matches_per_sample_bitwise(lib):
 
 
 def test_reset_parameters_is_deterministic(lib):
-    net_a = build_network(1, [2, 1], [3, 3], [[0], [2]], [1, 1], library=lib)
-    net_b = build_network(1, [2, 1], [3, 3], [[0], [2]], [1, 1], library=lib)
+    net_a = OpNetwork(NetworkConfig(tier_sizes=[2, 1], kernel_sizes=[3, 3],
+                                    operators=[[0], [2]]), lib)
+    net_b = OpNetwork(NetworkConfig(tier_sizes=[2, 1], kernel_sizes=[3, 3],
+                                    operators=[[0], [2]]), lib)
     net_a.reset_parameters(5)
     net_b.reset_parameters(5)
     for pa, pb in zip(net_a.parameters(), net_b.parameters()):
@@ -128,8 +137,9 @@ def test_reset_parameters_is_deterministic(lib):
 
 
 def test_reset_zeroes_biases_and_bounds_weights(lib):
-    net = build_network(2, [3], [5], [[0]], [1], library=lib,
-                        init=("uniform", 0.05))
+    net = OpNetwork(NetworkConfig(in_channels=2, tier_sizes=[3],
+                                  kernel_sizes=[5], operators=[[0]],
+                                  init="uniform", init_bound=0.05), lib)
     net.reset_parameters(1)
     for blk in net.tiers[0].blocks:
         assert blk.bias.value.data == 0.0
@@ -137,8 +147,9 @@ def test_reset_zeroes_biases_and_bounds_weights(lib):
 
 
 def test_fan_in_initialization_bound(lib):
-    net = build_network(4, [2], [3], [[0]], [1], library=lib,
-                        init=("fan_in", 0.0))
+    net = OpNetwork(NetworkConfig(in_channels=4, tier_sizes=[2],
+                                  kernel_sizes=[3], operators=[[0]],
+                                  init="fan_in", init_bound=0.0), lib)
     net.reset_parameters(2)
     bound = 1.0 / np.sqrt(4 * 3 * 3)
     w = net.tiers[0].blocks[0].weights.value.data
@@ -147,13 +158,33 @@ def test_fan_in_initialization_bound(lib):
 
 
 def test_single_opset_broadcasts_across_tier(lib):
-    net = build_network(1, [4], [3], [[13]], [1], library=lib)
+    net = OpNetwork(NetworkConfig(tier_sizes=[4], kernel_sizes=[3],
+                                  operators=[[13]]), lib)
     assert all(blk.opset.index == 13 for blk in net.tiers[0].blocks)
 
 
 def test_opset_list_length_must_match_tier_size(lib):
-    with pytest.raises(ShapeMismatch):
-        build_network(1, [3], [3], [[0, 1]], [1], library=lib)
+    with pytest.raises(ValidationError, match="network: operators tier 0"):
+        OpNetwork(NetworkConfig(tier_sizes=[3], kernel_sizes=[3],
+                                operators=[[0, 1]]), lib)
+
+
+@pytest.mark.parametrize("change,field", [
+    ({"operators": [[999]]}, "operators"),
+    ({"cut": 0.0}, "cut"),
+    ({"init": "foo"}, "init"),
+    ({"init_bound": float("inf")}, "init_bound"),
+    ({"tier_sizes": []}, "tier_sizes"),
+    ({"kernel_sizes": [4]}, "kernel_sizes"),
+    ({"sampling_factors": [0]}, "sampling_factors"),
+], ids=["index-999", "cut-0", "init-foo", "init_bound-inf", "no-tiers",
+        "kernel-4", "sampling-0"])
+def test_a_broken_config_fails_at_construction_naming_its_field(lib, change,
+                                                                field):
+    config = {"tier_sizes": [2], "kernel_sizes": [3], "operators": [[0]],
+              **change}
+    with pytest.raises(ValidationError, match=f"^network: {field} "):
+        OpNetwork(NetworkConfig(**config), lib)
 
 
 def test_heterogeneous_tier_mixes_operators(lib):
@@ -165,8 +196,8 @@ def test_heterogeneous_tier_mixes_operators(lib):
     outputs = {}
     for tag, pair in (("mixed", [sine, mul]), ("sine", [sine]),
                       ("mul", [mul])):
-        net = build_network(1, [2, 1], [3, 3], [pair, [2]], [1, 1],
-                            library=lib)
+        net = OpNetwork(NetworkConfig(tier_sizes=[2, 1], kernel_sizes=[3, 3],
+                                      operators=[pair, [2]]), lib)
         net.reset_parameters(9)
         outputs[tag] = network_forward(net, img).data
     assert not np.array_equal(outputs["mixed"], outputs["sine"])
@@ -190,7 +221,8 @@ def test_tier_extracts_patches_once_per_forward(lib, monkeypatch):
         return original(x, plan)
 
     monkeypatch.setattr(network_mod.patchops, "unfold", counting)
-    net = build_network(1, [5], [3], [[0]], [1], library=lib)
+    net = OpNetwork(NetworkConfig(tier_sizes=[5], kernel_sizes=[3],
+                                  operators=[[0]]), lib)
     net.reset_parameters(0)
     network_forward(net, np.zeros((1, 1, 4, 4)))
     assert len(calls) == 1
@@ -206,8 +238,10 @@ def one_block_group(blk, patches, spatial, constants):
 def test_a_mixed_tier_matches_its_blocks_run_one_by_one(lib):
     sine = lib.set_by_names("sine", "sum", "tanh").index
     mul = lib.set_by_names("mul", "median", "lincut").index
-    net = build_network(2, [5], [3], [[sine, mul, sine, mul, sine]], [1],
-                        library=lib, init=("uniform", 0.5))
+    net = OpNetwork(NetworkConfig(in_channels=2, tier_sizes=[5],
+                                  kernel_sizes=[3],
+                                  operators=[[sine, mul, sine, mul, sine]],
+                                  init="uniform", init_bound=0.5), lib)
     net.reset_parameters(4)
     tier = net.tiers[0]
     for k, blk in enumerate(tier.blocks):
@@ -234,7 +268,9 @@ class StandIns:
 
 
 def test_a_two_group_tier_passes_gradcheck(lib):
-    net = build_network(2, [3], [3], [[0, 18, 0]], [1], library=lib)
+    net = OpNetwork(NetworkConfig(in_channels=2, tier_sizes=[3],
+                                  kernel_sizes=[3],
+                                  operators=[[0, 18, 0]]), lib)
     tier = net.tiers[0]
     assert len(tier.groups) == 2
     params = tier.parameters()
@@ -255,8 +291,9 @@ def test_a_two_group_tier_passes_gradcheck(lib):
 def test_a_step_records_as_many_operations_for_any_tier_width(lib):
     recorded = []
     for width in (1, 4, 16):
-        net = build_network(1, [width, 1], [3, 3], [[0], [2]], [1, 1],
-                            library=lib)
+        net = OpNetwork(NetworkConfig(tier_sizes=[width, 1],
+                                      kernel_sizes=[3, 3],
+                                      operators=[[0], [2]]), lib)
         net.reset_parameters(0)
         tape = Tape()
         out = network_forward(net, np.ones((2, 1, 6, 6)), tape)
@@ -282,8 +319,10 @@ def test_a_taped_selection_group_matches_the_dense_composition(lib):
         ("cubic", "median", "lincut"), ("sine", "max", "tanh"),
         ("mul", "sum", "tanh"))]
     # two blocks in each selection group, three in the sum group
-    net = build_network(2, [7], [3], [sets * 2 + sets[2:]], [1], library=lib,
-                        init=("uniform", 0.5))
+    net = OpNetwork(NetworkConfig(in_channels=2, tier_sizes=[7],
+                                  kernel_sizes=[3],
+                                  operators=[sets * 2 + sets[2:]],
+                                  init="uniform", init_bound=0.5), lib)
     net.reset_parameters(2)
     tier = net.tiers[0]
     for k, blk in enumerate(tier.blocks):
@@ -325,7 +364,8 @@ def test_a_taped_selection_group_matches_the_dense_composition(lib):
 
 def test_an_overflow_off_the_winners_aborts_a_taped_step(lib, monkeypatch):
     exp_median = lib.set_by_names("exp", "median", "tanh").index
-    net = build_network(1, [1], [3], [[exp_median]], [1], library=lib)
+    net = OpNetwork(NetworkConfig(tier_sizes=[1], kernel_sizes=[3],
+                                  operators=[[exp_median]]), lib)
     blk = net.tiers[0].blocks[0]
 
     def corner_weight(seed):
@@ -359,8 +399,8 @@ def test_an_overflow_off_the_winners_aborts_a_taped_step(lib, monkeypatch):
 
 
 def test_empty_tier_list_is_rejected(lib):
-    with pytest.raises(ShapeMismatch):
-        OpNetwork(1, [], [], [], [])
+    with pytest.raises(ValidationError, match="network: tier_sizes"):
+        OpNetwork(NetworkConfig(tier_sizes=[], kernel_sizes=[], operators=[]))
 
 
 @pytest.mark.parametrize("names", [
@@ -378,9 +418,11 @@ def test_operator_set_gradients_pass(lib, names):
 def test_tie_margins_are_computed_only_for_gradcheck(lib, monkeypatch):
     median_lincut = lib.set_by_names("cubic", "median", "lincut").index
     max_tanh = lib.set_by_names("sine", "max", "tanh").index
-    net = build_network(1, [2, 1], [3, 3], [[median_lincut, max_tanh],
-                                            [conv_index(lib)]],
-                        [2, -2], library=lib, init=("uniform", 0.5))
+    net = OpNetwork(NetworkConfig(tier_sizes=[2, 1], kernel_sizes=[3, 3],
+                                  operators=[[median_lincut, max_tanh],
+                                             [conv_index(lib)]],
+                                  sampling_factors=[2, -2], init="uniform",
+                                  init_bound=0.5), lib)
     net.reset_parameters(0)
     calls = []
 
@@ -432,9 +474,11 @@ def alive(refs):
 
 def test_no_tape_outlives_its_pass(lib, tapes, monkeypatch):
     median_lincut = lib.set_by_names("cubic", "median", "lincut").index
-    net = build_network(1, [2, 1], [3, 3], [[median_lincut, conv_index(lib)],
-                                            [2]],
-                        [2, -2], library=lib, init=("uniform", 0.5))
+    net = OpNetwork(NetworkConfig(tier_sizes=[2, 1], kernel_sizes=[3, 3],
+                                  operators=[[median_lincut, conv_index(lib)],
+                                             [2]],
+                                  sampling_factors=[2, -2], init="uniform",
+                                  init_bound=0.5), lib)
     net.reset_parameters(0)
     rng = np.random.default_rng(0)
     network_forward(net, Tensor(rng.uniform(-1, 1, (2, 1, 8, 8))))
@@ -460,8 +504,8 @@ def test_a_diverging_step_frees_its_tape(lib, tapes, lr, status):
     # to overflow, so that step's forward raises before its backward
     exp_tanh = lib.set_by_names("exp", "sum", "tanh").index
     exp_identity = lib.set_by_names("exp", "sum", "identity").index
-    net = build_network(1, [2, 1], [3, 3], [[exp_tanh], [exp_identity]],
-                        [1, 1], library=lib)
+    net = OpNetwork(NetworkConfig(tier_sizes=[2, 1], kernel_sizes=[3, 3],
+                                  operators=[[exp_tanh], [exp_identity]]), lib)
     data = make_synthetic_task("blur-inverse", count=8, size=8, seed=0)
     split = partition(data, folds=1, val_fraction=0.25, seed=0)[0]
     cfg = TrainerConfig(num_epochs=3, optimizer="sgd", lr=lr, batch_size=1,

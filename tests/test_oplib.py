@@ -14,7 +14,8 @@ from onnkit.errors import (
     ShapeContractViolation,
 )
 from onnkit.network import (
-    build_network,
+    NetworkConfig,
+    OpNetwork,
     check_operator_set_gradients,
     network_forward,
 )
@@ -182,8 +183,9 @@ def test_readme_custom_operator_runs_in_a_tier_and_passes_gradcheck(lib):
     add_custom_operator(lib, "nodal", "wsq", lambda w, y, consts: w * y * y)
     index = lib.set_by_names("wsq", "sum", "tanh").index
     assert index == 54
-    net = build_network(1, [2], [3], [[index]], [1], library=lib,
-                        init=("uniform", 0.5))
+    net = OpNetwork(NetworkConfig(tier_sizes=[2], kernel_sizes=[3],
+                                  operators=[[index]], init="uniform",
+                                  init_bound=0.5), lib)
     net.reset_parameters(0)
     x = np.random.default_rng(5).uniform(-1.0, 1.0, (1, 1, 5, 5))
     out = network_forward(net, x).data
@@ -252,8 +254,9 @@ def test_custom_backward_trains_and_gradchecks_under_a_median_pool(lib):
     assert report.passed, f"max rel err {report.worst()}"
     assert report.tie_coords == 0
     # the custom tier's input is tracked, so its y gradient is needed too
-    net = build_network(1, [2, 3, 1], [3, 3, 3], [[0], [idx], [2]], [1, 1, 1],
-                        library=lib, init=("uniform", 0.5))
+    net = OpNetwork(NetworkConfig(tier_sizes=[2, 3, 1], kernel_sizes=[3, 3, 3],
+                                  operators=[[0], [idx], [2]], init="uniform",
+                                  init_bound=0.5), lib)
     data = make_synthetic_task("identity", count=4, size=6, seed=0)
     split = partition(data, folds=1, val_fraction=0.25, seed=0)[0]
     cfg = TrainerConfig(num_epochs=1, optimizer="sgd", lr=0.1, batch_size=4)
@@ -333,8 +336,9 @@ def test_a_custom_selection_pool_is_the_builtin_median_taped_densely(lib):
 
     def run(pool):
         index = lib.set_by_names("cubic", pool, "lincut").index
-        net = build_network(1, [2, 2], [3, 3], [[tanh], [index]], [1, 1],
-                            library=lib, init=("uniform", 0.5))
+        net = OpNetwork(NetworkConfig(tier_sizes=[2, 2], kernel_sizes=[3, 3],
+                                      operators=[[tanh], [index]],
+                                      init="uniform", init_bound=0.5), lib)
         net.reset_parameters(1)
         untaped = network_forward(net, x).data
         tape = Tape()

@@ -18,7 +18,7 @@ from onnkit.errors import (
     ShapeMismatch,
     UnknownOptimizer,
 )
-from onnkit.network import build_network
+from onnkit.network import NetworkConfig, OpNetwork
 from onnkit.oplib import register_builtin_library
 import onnkit.trainer as trainer_mod
 from onnkit.tensor import Tensor
@@ -83,7 +83,8 @@ def test_metric_improvement_is_strict():
 
 def conv_net():
     idx = LIB.set_by_names("mul", "sum", "identity").index
-    return build_network(1, [1], [3], [[idx]], [1], library=LIB)
+    return OpNetwork(NetworkConfig(tier_sizes=[1], kernel_sizes=[3],
+                                   operators=[[idx]]), LIB)
 
 
 def identity_split(count=8, size=4, seed=0):
@@ -176,8 +177,8 @@ def test_stage_overflow_aborts_the_run_and_the_next_run_completes():
     # run 1 trains through
     exp_tanh = LIB.set_by_names("exp", "sum", "tanh").index
     exp_identity = LIB.set_by_names("exp", "sum", "identity").index
-    net = build_network(1, [2, 1], [3, 3], [[exp_tanh], [exp_identity]],
-                        [1, 1], library=LIB)
+    net = OpNetwork(NetworkConfig(tier_sizes=[2, 1], kernel_sizes=[3, 3],
+                                  operators=[[exp_tanh], [exp_identity]]), LIB)
     data = make_synthetic_task("blur-inverse", count=8, size=8, seed=0)
     split = partition(data, folds=1, val_fraction=0.25, seed=0)[0]
     cfg = TrainerConfig(num_epochs=3, num_runs=2, optimizer="sgd", lr=4.0,
@@ -237,7 +238,8 @@ def test_unknown_optimizer_fails_at_construction():
 
 def test_output_shape_mismatch_fails_at_construction():
     idx = LIB.set_by_names("mul", "sum", "identity").index
-    two_channel = build_network(1, [2], [3], [[idx]], [1], library=LIB)
+    two_channel = OpNetwork(NetworkConfig(tier_sizes=[2], kernel_sizes=[3],
+                                          operators=[[idx]]), LIB)
     cfg = TrainerConfig(num_epochs=1, num_runs=1)
     with pytest.raises(ShapeMismatch):
         Trainer(two_channel, identity_split(), cfg)
@@ -384,8 +386,8 @@ def test_load_into_a_split_with_other_partitions_names_the_partition(
 
 def two_tier_net():
     idx = LIB.set_by_names("mul", "sum", "identity").index
-    return build_network(1, [1, 1], [3, 3], [[idx], [idx]], [1, 1],
-                         library=LIB)
+    return OpNetwork(NetworkConfig(tier_sizes=[1, 1], kernel_sizes=[3, 3],
+                                   operators=[[idx], [idx]]), LIB)
 
 
 def saved_trainer(tmp_path, net):
@@ -421,7 +423,8 @@ def test_load_names_a_parameter_the_archive_and_network_do_not_share(
 def test_load_rejects_a_reshaped_parameter(tmp_path):
     path = saved_trainer(tmp_path, conv_net())
     idx = LIB.set_by_names("mul", "sum", "identity").index
-    wider = build_network(1, [1], [5], [[idx]], [1], library=LIB)
+    wider = OpNetwork(NetworkConfig(tier_sizes=[1], kernel_sizes=[5],
+                                    operators=[[idx]]), LIB)
     with pytest.raises(ShapeMismatch, match="'0/0/weights' has shape"):
         Trainer.load(path, wider, identity_split())
 
