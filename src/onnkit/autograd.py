@@ -7,6 +7,10 @@ Every tracked computation appends a node to a Tape. Nodes are recorded in
 evaluation order, so a node's parents always precede it; the backward pass
 is a single reverse sweep that accumulates gradients additively at fan-out
 points. Gradients returned for a node always have exactly that node's shape.
+mul's backward forms each tracked operand's gradient as one np.einsum
+contraction of the upstream gradient with the other operand over the axes
+along which that operand was broadcast: the broadcast product is never
+formed. An operand that was not broadcast gets the plain product.
 
 A tape lives for one backward: backward returns every leaf's gradient and
 releases the tape, after which using it raises DetachedRoot. Ops on
@@ -228,6 +232,20 @@ def _unbroadcast(grad: Array, shape: Shape) -> Array:
     return grad
 
 
+def _mul_grad(g: Array, other: Array, shape: Shape) -> Array:
+    """_unbroadcast(g * other, shape) as one einsum over the axes broadcasting
+    expanded, never forming the product; the plain product if none was."""
+    lead = g.ndim - len(shape)
+    keep = [lead + i for i, s in enumerate(shape) if s == g.shape[lead + i]]
+    if len(keep) == g.ndim:
+        return g * other
+    # other's axes, right-aligned with g's; a broadcast size-1 axis is dropped
+    off = g.ndim - other.ndim
+    axes = [off + i for i, s in enumerate(other.shape) if s == g.shape[off + i]]
+    other = other.reshape([g.shape[i] for i in axes])
+    return np.einsum(g, list(range(g.ndim)), other, axes, keep).reshape(shape)
+
+
 def _selection_margin(arr: Array, arg: Array) -> float:
     """Smallest nonzero distance between winners and other entries.
 
@@ -278,8 +296,8 @@ def mul(a, b) -> Variable:
     need_a, need_b = a.node is not None, b.node is not None
 
     def grad_fn(g: Array):
-        return (_unbroadcast(g * bd, ad.shape) if need_a else None,
-                _unbroadcast(g * ad, bd.shape) if need_b else None)
+        return (_mul_grad(g, bd, ad.shape) if need_a else None,
+                _mul_grad(g, ad, bd.shape) if need_b else None)
 
     return record((a, b), out, grad_fn)
 

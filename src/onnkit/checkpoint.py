@@ -14,15 +14,18 @@ are namespaced with '/' (param/..., opt/..., rng/..., stats/..., best/...).
 Readers take a decoded entry through read_scalar (a counter or a single
 value), read_array, read_arrays (the arrays under one prefix), read_text
 or read_json, which raise CorruptState naming the entry when it is
-missing (unless a default is given) or not of its kind.
+missing (unless a default is given) or not of its kind. The same kind
+rule, holds, types the fields of a config schema through typed, for the
+network and trainer config checkers.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 import struct
-from typing import Mapping, get_args, get_origin
+from typing import Mapping, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -211,29 +214,55 @@ def read_text(entries: Mapping[str, object], name: str,
         raise CorruptState(f"entry {name!r} is not UTF-8 text: {e}") from e
 
 
-def _holds(value, kind) -> bool:
-    """Whether decoded JSON is a `kind`: a type, list[...] or tuple[...]."""
+# resolving a schema's string annotations is slow, and they never change
+type_hints = functools.cache(get_type_hints)
+
+
+def holds(value, kind) -> bool:
+    """Whether a value is a `kind`: a type, list[...] or tuple[...] (as a
+    tuple or a JSON list). An int is no bool; a float may be an int, not NaN."""
+    if isinstance(kind, type):
+        if isinstance(value, bool) and kind is not bool:
+            return False
+        if kind is float:  # NaN is the one value unequal to itself
+            return isinstance(value, (int, float)) and value == value
+        return isinstance(value, kind)
     args = get_args(kind)
     if get_origin(kind) is list:
-        return isinstance(value, list) and all(_holds(v, *args) for v in value)
-    if get_origin(kind) is tuple:
-        return (isinstance(value, list) and len(value) == len(args)
-                and all(map(_holds, value, args)))
-    return isinstance(value, kind)
+        return isinstance(value, list) and all(holds(v, *args) for v in value)
+    return (get_origin(kind) is tuple and isinstance(value, (list, tuple))
+            and len(value) == len(args) and all(map(holds, value, args)))
+
+
+def _shown(kind) -> str:
+    return kind.__name__ if isinstance(kind, type) else str(kind)
+
+
+def typed(schema, get, fail):
+    """get(field) for the fields of the schema dataclass, after calling
+    fail(field, rule), which raises, on a value that does not hold the
+    field's annotated type."""
+    kinds = type_hints(schema)
+
+    def typed_get(key: str):
+        value = get(key)
+        if not holds(value, kinds[key]):
+            fail(key, f"must be a {_shown(kinds[key])}, got {value!r}")
+        return value
+    return typed_get
 
 
 def read_json(entries: Mapping[str, object], name: str, kind,
               default=_REQUIRED):
-    """Entry `name` parsed as JSON text holding a `kind` (see _holds)."""
+    """Entry `name` parsed as JSON text holding a `kind` (see holds)."""
     if name not in entries:
         return _absent(name, default)
     try:
         value = json.loads(read_text(entries, name))
     except json.JSONDecodeError as e:
         raise CorruptState(f"entry {name!r} is not JSON: {e}") from e
-    if not _holds(value, kind):
-        shown = kind.__name__ if isinstance(kind, type) else kind
-        raise CorruptState(f"entry {name!r} must hold a JSON {shown}")
+    if not holds(value, kind):
+        raise CorruptState(f"entry {name!r} must hold a JSON {_shown(kind)}")
     return value
 
 

@@ -18,7 +18,8 @@ or one index per block, e.g. "operators = 4 / 0,13 / 3". Comments are
 whole lines starting with '#' or ';'; a value holding whitespace followed
 by '#' or ';' is rejected. One checker per section holds its rules
 (network.check_network_config, trainer.check_trainer_config,
-check_data_config), applied to the text (naming the failing line), the
+check_data_config; check_metrics the metrics key's), applied to the text
+(naming the failing line), a config given to a command, the
 --seed and --folds overrides and an archived trainer/config; OpNetwork
 runs the first on every config it builds. A tier chain not mapping the
 [channels, size, size] images onto targets of that shape is a config error.
@@ -65,7 +66,6 @@ from .trainer import (
     check_trainer_config,
     export_stats,
     resolve_metrics,
-    type_hints,
 )
 
 
@@ -149,7 +149,7 @@ class _Section:
         self.raw = raw
         self.schema = schema
         self.fields = {f.name: f for f in fields(schema)}
-        self.kinds = type_hints(schema)
+        self.kinds = checkpoint.type_hints(schema)
 
     def fail(self, key: str, message: str):
         entry = self.raw.get(key)
@@ -230,6 +230,22 @@ def check_data_config(get, fail) -> None:
         fail("val_fraction", "must be in [0, 1)")
 
 
+def check_metrics(metrics, fail) -> None:
+    """Call fail("metrics", rule) unless every (name, criterion) pair names
+    a built-in metric and max or min; loss, always tracked, may be named."""
+    if not checkpoint.holds(metrics, list[tuple[str, str]]):
+        fail("metrics", f"must be a list of (name, criterion) pairs, "
+                        f"got {metrics!r}")
+    for name, crit in metrics:
+        if name == "loss":
+            continue
+        if name not in BUILTIN_METRICS:
+            fail("metrics", f"unknown metric {name!r}; builtin: "
+                            f"{', '.join(sorted(BUILTIN_METRICS))}")
+        if crit not in ("max", "min"):
+            fail("metrics", f"criterion must be max or min, got {crit!r}")
+
+
 def parse_config(text: str,
                  library: OperatorSetLibrary | None = None) -> FullConfig:
     """Parse and validate configuration text."""
@@ -251,15 +267,10 @@ def parse_config(text: str,
     metrics: list[tuple[str, str]] = []
     for item in tr_s.items("metrics"):
         name, _, crit = map(str.strip, item.partition(":"))
-        if name == "loss":
-            continue
-        if name not in BUILTIN_METRICS:
-            tr_s.fail("metrics", f"unknown metric {name!r}; builtin: "
-                                 f"{', '.join(sorted(BUILTIN_METRICS))}")
-        crit = crit or BUILTIN_METRICS[name].criterion
-        if crit not in ("max", "min"):
-            tr_s.fail("metrics", f"criterion must be max or min, got {crit!r}")
-        metrics.append((name, crit))
+        if name != "loss":  # an empty criterion is the metric's own
+            spec = BUILTIN_METRICS.get(name)
+            metrics.append((name, crit or (spec.criterion if spec else "")))
+    check_metrics(metrics, tr_s.fail)
     tr_s.check_unknown("metrics")
 
     da_s = _Section("data", sections.get("data", {}), DataConfig)
@@ -274,13 +285,16 @@ def parse_config(text: str,
 
 
 def check_config(cfg: FullConfig, library: OperatorSetLibrary) -> None:
-    """Run the three section checkers on a built config, naming no line."""
+    """Run the three section checkers and the metrics checker on a built
+    config, naming no line."""
     def section(name, schema):
         return (functools.partial(getattr, getattr(cfg, name)),
                 _Section(name, {}, schema).fail)
     get, fail = section("network", NetworkConfig)
     check_network_config(get, len(library), fail)
-    check_trainer_config(*section("trainer", TrainerConfig))
+    get, fail = section("trainer", TrainerConfig)
+    check_trainer_config(get, fail)
+    check_metrics(cfg.metrics, fail)
     check_data_config(*section("data", DataConfig))
 
 

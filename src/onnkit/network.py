@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autograd as ag
-from . import patchops
+from . import checkpoint, patchops
 from .autograd import Parameter, Tape, Variable
 from .errors import IndivisibleExtent, ShapeMismatch, UnfitNetwork, ValidationError
 from .oplib import (
@@ -73,7 +73,9 @@ class NetworkConfig:
 
 
 def check_network_config(get, library_size: int, fail) -> None:
-    """As trainer.check_trainer_config, for [network]; indices in [0, library_size)."""
+    """As trainer.check_trainer_config, for [network]; indices in [0,
+    library_size). A field's type is checked as a rule first reads it."""
+    get = checkpoint.typed(NetworkConfig, get, fail)
     if get("in_channels") < 1:
         fail("in_channels", "must be at least 1")
     tier_sizes = get("tier_sizes")
@@ -113,6 +115,8 @@ def check_network_config(get, library_size: int, fail) -> None:
     # weights are drawn from U(-b, b), whose width 2b must be a finite float
     if not 0 <= get("init_bound") <= sys.float_info.max / 2:
         fail("init_bound", f"must be in [0, {sys.float_info.max / 2!r}]")
+    for key in checkpoint.type_hints(NetworkConfig):  # and those no rule read
+        get(key)
 
 
 def _fail(key: str, rule: str):

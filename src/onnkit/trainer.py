@@ -31,7 +31,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, get_type_hints
+from typing import Callable
 
 import numpy as np
 
@@ -57,9 +57,6 @@ SNR_CAP_DB = 300.0
 # what a diverging run raises: the loss check, the stage checks of the
 # forward pass and the optimizer's gradient check
 DIVERGENCE_ERRORS = (NonFiniteLoss, NonFiniteValue, NonFiniteGradient)
-
-# resolving a schema's string annotations is slow, and they never change
-type_hints = functools.cache(get_type_hints)
 
 
 def calc_snr(pred: Tensor, target: Tensor) -> float:
@@ -139,12 +136,10 @@ def check_trainer_config(get, fail) -> None:
     a [trainer] rule, reading each value as get(field) as it checks it:
     _Section.get on config text, so the first broken or missing key is the
     one reported, or getattr on a built config. A field holds its
-    annotation's type: an int is no bool, a float may be an int, not NaN."""
-    for key, kind in type_hints(TrainerConfig).items():
-        value = get(key)  # NaN is the one value unequal to itself
-        if (isinstance(value, bool) or value != value or not isinstance(
-                value, (int, float) if kind is float else kind)):
-            fail(key, f"must be a {kind.__name__}, got {value!r}")
+    annotation's type (checkpoint.holds); every type is checked first."""
+    get = checkpoint.typed(TrainerConfig, get, fail)
+    for key in checkpoint.type_hints(TrainerConfig):
+        get(key)
     if get("optimizer") not in optim.SUPPORTED:
         fail("optimizer", f"must be one of {', '.join(optim.SUPPORTED)}, "
                           f"got {get('optimizer')!r}")

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import onnkit.autograd as ag
 from onnkit.autograd import (
@@ -234,17 +237,70 @@ def test_mul_forms_no_gradient_for_an_untracked_operand(monkeypatch):
     tape = Tape()
     x = tape.leaf(Tensor([[1.0, 2.0]]))
     formed = []
-    unbroadcast = ag._unbroadcast
+    mul_grad = ag._mul_grad
 
-    def counting(grad, shape):
+    def counting(grad, other, shape):
         formed.append(shape)
-        return unbroadcast(grad, shape)
+        return mul_grad(grad, other, shape)
 
-    monkeypatch.setattr(ag, "_unbroadcast", counting)
+    monkeypatch.setattr(ag, "_mul_grad", counting)
     root = ag.sum_all(ag.mul(x, Tensor([[3.0], [4.0]])))
     (gx,) = leaf_grads(tape, root, x)
     assert gx.tolist() == [[7.0, 7.0]]
     assert formed == [(1, 2)]
+
+
+def _mul_grads(a: np.ndarray, b: np.ndarray, g: np.ndarray, tracked: str):
+    """The gradients backward gives a and b (None if untracked) of
+    sum(mul(a, b) * g), whose upstream gradient at the mul is g exactly."""
+    tape = Tape()
+    va, vb = (tape.leaf(Tensor._wrap(v)) if name in tracked
+              else ag.as_variable(Tensor._wrap(v))
+              for name, v in (("a", a), ("b", b)))
+    grads = backward(ag.sum_all(ag.mul(ag.mul(va, vb), Tensor._wrap(g))))
+    return [grads[v.node].data if v.node is not None else None for v in (va, vb)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.mutually_broadcastable_shapes(num_shapes=2, min_dims=0, max_dims=4,
+                                         max_side=4),
+       st.sampled_from(["a", "b", "ab"]), st.integers(0, 2**32 - 1))
+def test_mul_gradients_contract_to_the_unbroadcast_product(shapes, tracked, seed):
+    rng = np.random.default_rng(seed)
+    (sa, sb), out = shapes
+    a, b, g = (rng.uniform(-1.0, 1.0, s) for s in (sa, sb, out))
+    ga, gb = _mul_grads(a, b, g, tracked)
+    for grad, own, other, name in ((ga, a, b, "a"), (gb, b, a, "b")):
+        if name not in tracked:
+            assert grad is None
+            continue
+        assert grad.shape == own.shape
+        want = ag._unbroadcast(g * other, own.shape)
+        scale = ag._unbroadcast(np.abs(g * other), own.shape)
+        assert np.all(np.abs(grad - want) <= 1e-12 * scale)
+
+
+def _offset_copy(arr: np.ndarray) -> np.ndarray:
+    """A copy of arr whose data starts 8 bytes past a 16-byte boundary."""
+    buf = np.empty(arr.size + 3)
+    start = 1 if buf.ctypes.data % 16 == 0 else 2
+    out = buf[start:start + arr.size].reshape(arr.shape)
+    assert out.ctypes.data % 16 == 8
+    out[...] = arr
+    return out
+
+
+@pytest.mark.parametrize("sw, sp", [((8, 8, 1, 9), (1, 8, 1024, 9)),
+                                    ((3, 2, 1, 7), (1, 2, 5, 7)),
+                                    ((2, 1, 3), (4, 3))])
+def test_mul_gradients_do_not_depend_on_operand_alignment(sw, sp):
+    rng = np.random.default_rng(5)
+    w, p = rng.uniform(-1.0, 1.0, sw), rng.uniform(-1.0, 1.0, sp)
+    g = rng.uniform(-1.0, 1.0, np.broadcast_shapes(sw, sp))
+    aligned = _mul_grads(w, p, g, "ab")
+    shifted = _mul_grads(_offset_copy(w), _offset_copy(p), _offset_copy(g), "ab")
+    for x, y in zip(aligned, shifted):
+        assert x.tobytes() == y.tobytes()
 
 
 def test_composed_elementwise_chain_passes_gradcheck():

@@ -1033,6 +1033,25 @@ def test_every_command_checks_the_config_it_is_given(
     assert quiet.getvalue() == "" and not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("metrics,message", [
+    ([("psnr", "max")], "metrics unknown metric 'psnr'; builtin: snr"),
+    ([("snr", "avg")], "metrics criterion must be max or min, got 'avg'"),
+    ([("snr",)], "metrics must be a list of (name, criterion) pairs, "
+                 "got [('snr',)]"),
+], ids=["name", "criterion", "pair"])
+def test_train_checks_the_metrics_of_a_built_config(tmp_path, monkeypatch,
+                                                    metrics, message):
+    # a library caller's metrics break the rules the text's metrics key
+    # follows: one config error line, exit 1, nothing written
+    cfg = parse_config(BASE)
+    cfg.metrics = metrics
+    monkeypatch.setattr(cli_mod, "_load_config", lambda args: cfg)
+    out = tmp_path / "x"
+    assert run_cli(["train", "--config", "unused", "--out", str(out)]) == (
+        1, [], [f"error: trainer: {message}"])
+    assert not out.exists()
+
+
 def test_eval_decodes_its_archive_once(base_out, monkeypatch):
     out, _ = base_out
     calls = []

@@ -177,8 +177,14 @@ def test_opset_list_length_must_match_tier_size(lib):
     ({"tier_sizes": []}, "tier_sizes"),
     ({"kernel_sizes": [4]}, "kernel_sizes"),
     ({"sampling_factors": [0]}, "sampling_factors"),
+    ({"tier_sizes": [2.5]}, "tier_sizes"),
+    ({"kernel_sizes": [3.0]}, "kernel_sizes"),
+    ({"operators": [[0.0]]}, "operators"),
+    ({"tier_sizes": [True]}, "tier_sizes"),
+    ({"k_sin": "pi"}, "k_sin"),
 ], ids=["index-999", "cut-0", "init-foo", "init_bound-inf", "no-tiers",
-        "kernel-4", "sampling-0"])
+        "kernel-4", "sampling-0", "tier_sizes-float", "kernel_sizes-float",
+        "operators-float", "tier_sizes-bool", "k_sin-str"])
 def test_a_broken_config_fails_at_construction_naming_its_field(lib, change,
                                                                 field):
     config = {"tier_sizes": [2], "kernel_sizes": [3], "operators": [[0]],
