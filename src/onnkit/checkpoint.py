@@ -15,8 +15,8 @@ Readers take a decoded entry through read_scalar (a counter or a single
 value), read_array, read_arrays (the arrays under one prefix), read_text
 or read_json, which raise CorruptState naming the entry when it is
 missing (unless a default is given) or not of its kind. The same kind
-rule, holds, types the fields of a config schema through typed, for the
-network and trainer config checkers.
+rule, holds, types the fields of every config dataclass when it is built
+(check_types).
 """
 from __future__ import annotations
 
@@ -25,11 +25,12 @@ import json
 import math
 import os
 import struct
+import types
 from typing import Mapping, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import CorruptState, IoError, VersionMismatch
+from .errors import BrokenRule, CorruptState, IoError, VersionMismatch
 
 MAGIC = b"FONNCKPT"
 FORMAT_VERSION = 1
@@ -219,8 +220,9 @@ type_hints = functools.cache(get_type_hints)
 
 
 def holds(value, kind) -> bool:
-    """Whether a value is a `kind`: a type, list[...] or tuple[...] (as a
-    tuple or a JSON list). An int is no bool; a float may be an int, not NaN."""
+    """Whether a value is a `kind`: a type, X | Y, list[...] or tuple[...]
+    (as a tuple or a JSON list). An int is no bool; a float may be an int,
+    not NaN."""
     if isinstance(kind, type):
         if isinstance(value, bool) and kind is not bool:
             return False
@@ -228,6 +230,8 @@ def holds(value, kind) -> bool:
             return isinstance(value, (int, float)) and value == value
         return isinstance(value, kind)
     args = get_args(kind)
+    if isinstance(kind, types.UnionType):
+        return any(holds(value, k) for k in args)
     if get_origin(kind) is list:
         return isinstance(value, list) and all(holds(v, *args) for v in value)
     return (get_origin(kind) is tuple and isinstance(value, (list, tuple))
@@ -238,18 +242,14 @@ def _shown(kind) -> str:
     return kind.__name__ if isinstance(kind, type) else str(kind)
 
 
-def typed(schema, get, fail):
-    """get(field) for the fields of the schema dataclass, after calling
-    fail(field, rule), which raises, on a value that does not hold the
-    field's annotated type."""
-    kinds = type_hints(schema)
-
-    def typed_get(key: str):
-        value = get(key)
-        if not holds(value, kinds[key]):
-            fail(key, f"must be a {_shown(kinds[key])}, got {value!r}")
-        return value
-    return typed_get
+def check_types(config, section: str) -> None:
+    """Raise BrokenRule(section, field, ...) on the first field of a config
+    dataclass whose value does not hold its annotated type."""
+    for key, kind in type_hints(type(config)).items():
+        value = getattr(config, key)
+        if not holds(value, kind):
+            raise BrokenRule(section, key,
+                             f"must be a {_shown(kind)}, got {value!r}")
 
 
 def read_json(entries: Mapping[str, object], name: str, kind,

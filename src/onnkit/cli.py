@@ -9,19 +9,21 @@ Configuration is INI-like text with three sections:
   [data]      task, path, count, size, channels, folds, val_fraction, seed
 
 The keys are the fields of NetworkConfig, TrainerConfig and DataConfig
-(plus metrics): a missing key takes its field's default, and one whose
-field has none is required. No sampling_factors means 1 for every tier.
+(plus metrics, a field of FullConfig): a missing key takes its field's
+default, and one whose field has none is required. No sampling_factors
+means 1 for every tier.
 
 Lists are comma-separated. The operators key separates tiers with '/';
 each tier holds either one operator set index (shared by all its blocks)
 or one index per block, e.g. "operators = 4 / 0,13 / 3". Comments are
 whole lines starting with '#' or ';'; a value holding whitespace followed
-by '#' or ';' is rejected. One checker per section holds its rules
-(network.check_network_config, trainer.check_trainer_config,
-check_data_config; check_metrics the metrics key's), applied to the text
-(naming the failing line), a config given to a command, the
---seed and --folds overrides and an archived trainer/config; OpNetwork
-runs the first on every config it builds. A tier chain not mapping the
+by '#' or ';' is rejected. Each of the four config dataclasses is frozen
+and checks its section's rules when it is built (BrokenRule "<section>:
+<key> <rule>"), so a config given to a command, the --seed and --folds
+overrides (dataclasses.replace) and an archived trainer/config meet the
+rules the text does; parse_config adds the failing key's line. Operator
+set indices are checked against the library when the text is parsed and
+when OpNetwork or gradcheck decodes them. A tier chain not mapping the
 [channels, size, size] images onto targets of that shape is a config error.
 
 train archives the effective configuration (the file's values with the
@@ -47,6 +49,7 @@ import numpy as np
 
 from . import checkpoint, dataio, oplib, patchops
 from .errors import (
+    BrokenRule,
     NonFiniteLoss,
     OnnkitError,
     ParseError,
@@ -54,7 +57,7 @@ from .errors import (
     UnfitNetwork,
     ValidationError,
 )
-from .network import (NetworkConfig, OpNetwork, check_network_config,
+from .network import (NetworkConfig, OpNetwork, check_operator_indices,
                       check_operator_set_gradients)
 from .oplib import OperatorSetLibrary, register_builtin_library
 from .tensor import Tensor
@@ -63,14 +66,15 @@ from .trainer import (
     PARTITIONS,
     Trainer,
     TrainerConfig,
-    check_trainer_config,
     export_stats,
     resolve_metrics,
 )
 
 
-@dataclass(kw_only=True)
+@dataclass(frozen=True, kw_only=True)
 class DataConfig:
+    """The [data] keys. Built, it holds each field's annotated type and the
+    section's rules, else BrokenRule("data", field, rule)."""
     task: str
     path: str | None = None
     count: int = 64
@@ -80,13 +84,52 @@ class DataConfig:
     val_fraction: float = 0.0
     seed: int = 0
 
+    def __post_init__(self):
+        checkpoint.check_types(self, "data")
+        known_tasks = dataio.SYNTHETIC_TASKS + ("folder",)
+        if self.task not in known_tasks:
+            raise BrokenRule("data", "task", f"must be one of {', '.join(known_tasks)}")
+        if self.task == "folder" and not self.path:
+            raise BrokenRule("data", "path", "is required when task = folder")
+        for key, least in (("count", 1), ("size", 1), ("channels", 1),
+                           ("folds", 1), ("seed", 0)):
+            if getattr(self, key) < least:
+                raise BrokenRule("data", key, f"must be at least {least}")
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise BrokenRule("data", "val_fraction", "must be in [0, 1)")
 
-@dataclass
+
+@dataclass(frozen=True)
 class FullConfig:
+    """The three sections and the metrics key. Built, every (name,
+    criterion) pair of metrics names a built-in metric, once, and max or
+    min (loss, always tracked, may be named), and the data has the
+    network's input channels."""
     network: NetworkConfig
     trainer: TrainerConfig
     data: DataConfig
     metrics: list[tuple[str, str]] = field(default_factory=list)
+
+    def __post_init__(self):
+        if not checkpoint.holds(self.metrics, list[tuple[str, str]]):
+            raise BrokenRule("trainer", "metrics", "must be a list of (name, "
+                             f"criterion) pairs, got {self.metrics!r}")
+        named = set()
+        for name, crit in self.metrics:
+            if name == "loss":
+                continue
+            if name not in BUILTIN_METRICS:
+                raise BrokenRule("trainer", "metrics", f"unknown metric {name!r}; "
+                                 f"builtin: {', '.join(sorted(BUILTIN_METRICS))}")
+            if crit not in ("max", "min"):
+                raise BrokenRule("trainer", "metrics",
+                                 f"criterion must be max or min, got {crit!r}")
+            if name in named:
+                raise BrokenRule("trainer", "metrics", f"names {name!r} twice")
+            named.add(name)
+        if self.data.channels != self.network.in_channels:
+            raise BrokenRule("data", "channels", f"is {self.data.channels}, "
+                             f"network in_channels is {self.network.in_channels}")
 
 
 # --- raw INI-like parsing, tracking line numbers ---
@@ -140,162 +183,85 @@ def _parse_sections(text: str) -> dict[str, dict[str, _Raw]]:
     return sections
 
 
-class _Section:
-    """Typed access to one section's raw values, with line-tagged errors;
-    the schema dataclass's fields give each key's type and default."""
-
-    def __init__(self, name: str, raw: dict[str, _Raw], schema):
-        self.name = name
-        self.raw = raw
-        self.schema = schema
-        self.fields = {f.name: f for f in fields(schema)}
-        self.kinds = checkpoint.type_hints(schema)
-
-    def fail(self, key: str, message: str):
-        entry = self.raw.get(key)
-        where = f"line {entry.line}: " if entry else ""
-        raise ValidationError(f"{self.name}: {where}{key} {message}")
-
-    def _convert(self, key: str, text: str, kind):
-        if kind == list[list[int]]:  # operators: tiers on '/', indices on ','
-            tiers = []
-            for t, tier in enumerate(text.split("/")):
-                items = [s.strip() for s in tier.split(",") if s.strip()]
-                if not items:
-                    self.fail(key, f"tier {t} has no operator set index")
-                try:
-                    tiers.append([int(s) for s in items])
-                except ValueError:
-                    self.fail(key, f"tier {t} holds a non-integer index")
-            return tiers
-        if get_origin(kind) is list:
-            items = [s.strip() for s in text.split(",") if s.strip()]
+def _convert(section: str, key: str, text: str, kind):
+    """A key's text as a value of its field's type."""
+    if kind == list[list[int]]:  # operators: tiers on '/', indices on ','
+        tiers = []
+        for t, tier in enumerate(text.split("/")):
+            items = [s.strip() for s in tier.split(",") if s.strip()]
             if not items:
-                self.fail(key, "must hold at least one value")
-            return [self._convert(key, s, *get_args(kind)) for s in items]
-        try:
-            value = kind(text) if kind in (int, float) else text
-        except ValueError:
-            self.fail(key, f"must be a {kind.__name__}, got {text!r}")
-        if value != value:  # NaN
-            self.fail(key, f"must be a number, got {text!r}")
-        return value
-
-    def text(self, key: str) -> str | None:
-        """The key's raw value, None when it is absent and may be."""
-        entry = self.raw.get(key)
-        f = self.fields.get(key)
-        if (entry is None and f is not None and f.default is MISSING
-                and f.default_factory is MISSING):
-            raise ValidationError(f"{self.name}: missing required key {key!r}")
-        return None if entry is None else entry.value
-
-    def items(self, key: str) -> list[str]:
-        """The key's comma-separated items, none when it is absent."""
-        text = self.text(key)
-        return [] if text is None else self._convert(key, text, list[str])
-
-    def get(self, key: str):
-        """The key's value converted to its field's type, or its default."""
-        text = self.text(key)
-        if text is not None:
-            return self._convert(key, text, self.kinds[key])
-        f = self.fields[key]
-        return f.default if f.default_factory is MISSING else f.default_factory()
-
-    def build(self):
-        """The schema instance of the section's values, in field order."""
-        return self.schema(**{k: self.get(k) for k in self.fields})
-
-    def check_unknown(self, *extra: str):
-        for key, entry in self.raw.items():
-            if key not in self.fields and key not in extra:
-                raise ValidationError(
-                    f"{self.name}: line {entry.line}: unknown key {key!r}"
-                )
+                raise BrokenRule(section, key, f"tier {t} has no operator set index")
+            try:
+                tiers.append([int(s) for s in items])
+            except ValueError:
+                raise BrokenRule(section, key,
+                                 f"tier {t} holds a non-integer index") from None
+        return tiers
+    if get_origin(kind) is list:
+        items = [s.strip() for s in text.split(",") if s.strip()]
+        if not items:
+            raise BrokenRule(section, key, "must hold at least one value")
+        return [_convert(section, key, s, *get_args(kind)) for s in items]
+    try:
+        value = kind(text) if kind in (int, float) else text
+    except ValueError:
+        raise BrokenRule(section, key,
+                         f"must be a {kind.__name__}, got {text!r}") from None
+    if value != value:  # NaN
+        raise BrokenRule(section, key, f"must be a number, got {text!r}")
+    return value
 
 
-def check_data_config(get, fail) -> None:
-    """As check_trainer_config, for the [data] rules."""
-    known_tasks = dataio.SYNTHETIC_TASKS + ("folder",)
-    if get("task") not in known_tasks:
-        fail("task", f"must be one of {', '.join(known_tasks)}")
-    if get("task") == "folder" and not get("path"):
-        fail("path", "is required when task = folder")
-    for key, least in (("count", 1), ("size", 1), ("channels", 1), ("folds", 1),
-                       ("seed", 0)):
-        if get(key) < least:
-            fail(key, f"must be at least {least}")
-    if not 0.0 <= get("val_fraction") < 1.0:
-        fail("val_fraction", "must be in [0, 1)")
-
-
-def check_metrics(metrics, fail) -> None:
-    """Call fail("metrics", rule) unless every (name, criterion) pair names
-    a built-in metric and max or min; loss, always tracked, may be named."""
-    if not checkpoint.holds(metrics, list[tuple[str, str]]):
-        fail("metrics", f"must be a list of (name, criterion) pairs, "
-                        f"got {metrics!r}")
-    for name, crit in metrics:
-        if name == "loss":
-            continue
-        if name not in BUILTIN_METRICS:
-            fail("metrics", f"unknown metric {name!r}; builtin: "
-                            f"{', '.join(sorted(BUILTIN_METRICS))}")
-        if crit not in ("max", "min"):
-            fail("metrics", f"criterion must be max or min, got {crit!r}")
+def _build(sections: dict[str, dict[str, _Raw]], section: str, schema,
+           *extra: str):
+    """The schema instance of a section's keys, each converted to its
+    field's type; an absent key takes its field's default. Then the keys
+    neither a field nor in extra are rejected."""
+    raw = sections.get(section, {})
+    kinds = checkpoint.type_hints(schema)
+    values = {}
+    for f in fields(schema):
+        if f.name in raw:
+            values[f.name] = _convert(section, f.name, raw[f.name].value,
+                                      kinds[f.name])
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ValidationError(f"{section}: missing required key {f.name!r}")
+    built = schema(**values)
+    for key, entry in raw.items():
+        if key not in kinds and key not in extra:
+            raise ValidationError(
+                f"{section}: line {entry.line}: unknown key {key!r}")
+    return built
 
 
 def parse_config(text: str,
                  library: OperatorSetLibrary | None = None) -> FullConfig:
-    """Parse and validate configuration text."""
+    """Parse configuration text into a FullConfig whose operator set
+    indices library decodes; a broken rule names the key's line."""
     lib = library or register_builtin_library()
     sections = _parse_sections(text)
     if "network" not in sections:
         raise ValidationError("network: missing section [network]")
-
-    net_s = _Section("network", sections["network"], NetworkConfig)
-    check_network_config(net_s.get, len(lib), net_s.fail)
-    network = net_s.build()
-    network.sampling_factors = (network.sampling_factors
-                                or [1] * len(network.tier_sizes))
-    net_s.check_unknown()
-
-    tr_s = _Section("trainer", sections.get("trainer", {}), TrainerConfig)
-    check_trainer_config(tr_s.get, tr_s.fail)
-    trainer = tr_s.build()
-    metrics: list[tuple[str, str]] = []
-    for item in tr_s.items("metrics"):
-        name, _, crit = map(str.strip, item.partition(":"))
-        if name != "loss":  # an empty criterion is the metric's own
-            spec = BUILTIN_METRICS.get(name)
-            metrics.append((name, crit or (spec.criterion if spec else "")))
-    check_metrics(metrics, tr_s.fail)
-    tr_s.check_unknown("metrics")
-
-    da_s = _Section("data", sections.get("data", {}), DataConfig)
-    check_data_config(da_s.get, da_s.fail)
-    data = da_s.build()
-    da_s.check_unknown()
-
-    if data.channels != network.in_channels:
-        da_s.fail("channels",
-                  f"is {data.channels}, network in_channels is {network.in_channels}")
-    return FullConfig(network=network, trainer=trainer, data=data, metrics=metrics)
-
-
-def check_config(cfg: FullConfig, library: OperatorSetLibrary) -> None:
-    """Run the three section checkers and the metrics checker on a built
-    config, naming no line."""
-    def section(name, schema):
-        return (functools.partial(getattr, getattr(cfg, name)),
-                _Section(name, {}, schema).fail)
-    get, fail = section("network", NetworkConfig)
-    check_network_config(get, len(library), fail)
-    get, fail = section("trainer", TrainerConfig)
-    check_trainer_config(get, fail)
-    check_metrics(cfg.metrics, fail)
-    check_data_config(*section("data", DataConfig))
+    try:
+        network = _build(sections, "network", NetworkConfig)
+        check_operator_indices(network, lib)
+        trainer = _build(sections, "trainer", TrainerConfig, "metrics")
+        metrics: list[tuple[str, str]] = []
+        raw = sections.get("trainer", {}).get("metrics")
+        items = _convert("trainer", "metrics", raw.value, list[str]) if raw else []
+        for item in items:
+            name, _, crit = map(str.strip, item.partition(":"))
+            if name != "loss":  # an empty criterion is the metric's own
+                spec = BUILTIN_METRICS.get(name)
+                metrics.append((name, crit or (spec.criterion if spec else "")))
+        data = _build(sections, "data", DataConfig)
+        return FullConfig(network, trainer, data, metrics)
+    except BrokenRule as e:
+        entry = sections.get(e.section, {}).get(e.key)
+        if entry is None:
+            raise
+        raise ValidationError(f"{e.section}: line {entry.line}: {e.key} "
+                              f"{e.rule}") from None
 
 
 def format_config(cfg: FullConfig) -> str:
@@ -310,8 +276,7 @@ def format_config(cfg: FullConfig) -> str:
             if f.name == "operators":
                 value = " / ".join(",".join(map(str, tier)) for tier in value)
             elif isinstance(value, list):
-                # an empty list is an absent key: sampling_factors' 1 per tier
-                value = ", ".join(map(str, value)) or None
+                value = ", ".join(map(str, value))
             elif isinstance(value, str) and (len(value.splitlines()) > 1 or re.search(
                     r"^\s|\s$|(^|\s)[#;]", value)):  # line break, end space, comment
                 raise ValidationError(f"{name}: {f.name} {value!r} cannot be "
@@ -366,9 +331,7 @@ def _fold_seed(master: int, fold: int) -> int:
 def cmd_describe(cfg: FullConfig, library: OperatorSetLibrary | None = None,
                  stream=None) -> int:
     stream = stream or sys.stdout
-    lib = library or register_builtin_library()
-    check_config(cfg, lib)
-    net = network_from_config(cfg, lib)
+    net = network_from_config(cfg, library)
     size = cfg.data.size
     images = (cfg.data.channels, size, size)
     net.check_fit(images, images)
@@ -418,7 +381,6 @@ def _train_one_fold(cfg: FullConfig, text: str, library, split, seed):
 def cmd_train(cfg: FullConfig, out_dir, jobs: int = 1,
               library: OperatorSetLibrary | None = None) -> int:
     lib = library or register_builtin_library()
-    check_config(cfg, lib)
     text = format_config(cfg)
     splits = _splits_from_config(cfg)
     seeds = [_fold_seed(cfg.trainer.seed, s.fold) for s in splits]
@@ -451,7 +413,7 @@ def cmd_gradcheck(cfg: FullConfig,
                   stream=None) -> int:
     stream = stream or sys.stdout
     lib = library or register_builtin_library()
-    check_config(cfg, lib)
+    check_operator_indices(cfg.network, lib)
     indices = sorted({i for tier in cfg.network.operators for i in tier})
     failures = 0
     for idx in indices:
@@ -491,7 +453,6 @@ def cmd_eval(ckpt_path, cfg: FullConfig | None = None,
                else checkpoint.load(ckpt_path))
     if cfg is None:
         cfg = parse_config(_archived_config_text(entries), lib)
-    check_config(cfg, lib)
     splits = _splits_from_config(cfg)
     fold = checkpoint.read_scalar(entries, "trainer/fold", default=0)
     if fold >= len(splits):
@@ -579,9 +540,9 @@ def _load_config(args, archive: dict | None = None) -> FullConfig:
         text = _archived_config_text(archive)
     cfg = parse_config(text)
     if args.seed is not None:
-        cfg.trainer = replace(cfg.trainer, seed=args.seed)
+        cfg = replace(cfg, trainer=replace(cfg.trainer, seed=args.seed))
     if args.folds is not None:
-        cfg.data = replace(cfg.data, folds=args.folds)
+        cfg = replace(cfg, data=replace(cfg.data, folds=args.folds))
     return cfg
 
 

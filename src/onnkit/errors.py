@@ -114,5 +114,15 @@ class ValidationError(OnnkitError):
     """Parsed configuration violates a documented constraint."""
 
 
+class BrokenRule(ValidationError):
+    """A config field breaks a rule of its section: "<section>: <key>
+    <rule>", with the three parts kept for callers that name the field's
+    source (a line of config text, an archive entry)."""
+
+    def __init__(self, section: str, key: str, rule: str):
+        super().__init__(f"{section}: {key} {rule}")
+        self.section, self.key, self.rule = section, key, rule
+
+
 class IoError(OnnkitError):
     """A file could not be read or written."""

@@ -27,12 +27,12 @@ pool once, over the full patch matrix.
 
 A network chains tiers; with every block set to (mul, sum, identity) and
 zero biases it computes an ordinary multi-channel convolution stack.
-A NetworkConfig describes it; OpNetwork, the one network constructor,
-runs check_network_config on that description before building a tier.
+A NetworkConfig describes it and checks its own rules when it is built;
+OpNetwork, the one network constructor, checks only that its library
+decodes the config's operator set indices before building a tier.
 """
 from __future__ import annotations
 
-import functools
 import sys
 from dataclasses import dataclass, field
 
@@ -41,7 +41,7 @@ import numpy as np
 from . import autograd as ag
 from . import checkpoint, patchops
 from .autograd import Parameter, Tape, Variable
-from .errors import IndivisibleExtent, ShapeMismatch, UnfitNetwork, ValidationError
+from .errors import BrokenRule, IndivisibleExtent, ShapeMismatch, UnfitNetwork
 from .oplib import (
     DEFAULT_CONSTANTS,
     OperatorConstants,
@@ -56,14 +56,18 @@ from .oplib import (
 from .tensor import Tensor
 
 
-@dataclass(kw_only=True)
+@dataclass(frozen=True, kw_only=True)
 class NetworkConfig:
-    """A network described tier by tier; its fields are [network]'s keys."""
+    """A network described tier by tier; its fields are [network]'s keys.
+
+    Built, it holds each field's annotated type and the section's rules,
+    else BrokenRule("network", field, rule); an empty sampling_factors
+    becomes 1 for every tier. Operator set indices are checked against a
+    library by check_operator_indices."""
     in_channels: int = 1
     tier_sizes: list[int]
     kernel_sizes: list[int]
     operators: list[list[int]]
-    # empty: 1 for every tier
     sampling_factors: list[int] = field(default_factory=list)
     k_sin: float = float(np.pi)
     k_chirp: float = float(np.pi)
@@ -71,56 +75,59 @@ class NetworkConfig:
     init: str = "uniform"
     init_bound: float = 0.1
 
-
-def check_network_config(get, library_size: int, fail) -> None:
-    """As trainer.check_trainer_config, for [network]; indices in [0,
-    library_size). A field's type is checked as a rule first reads it."""
-    get = checkpoint.typed(NetworkConfig, get, fail)
-    if get("in_channels") < 1:
-        fail("in_channels", "must be at least 1")
-    tier_sizes = get("tier_sizes")
-    if not tier_sizes:
-        fail("tier_sizes", "must hold at least one value")
-    if any(s < 1 for s in tier_sizes):
-        fail("tier_sizes", "entries must be at least 1")
-    kernel_sizes = get("kernel_sizes")
-    if len(kernel_sizes) != len(tier_sizes):
-        fail("kernel_sizes", f"has {len(kernel_sizes)} entries, "
-                             f"tier_sizes has {len(tier_sizes)}")
-    for k in kernel_sizes:
-        if k < 1 or k % 2 == 0:
-            fail("kernel_sizes", f"entries must be odd and positive, got {k}")
-    operators = get("operators")
-    if len(operators) != len(tier_sizes):
-        fail("operators", f"names {len(operators)} tiers, network has "
-                          f"{len(tier_sizes)}")
-    for t, (indices, size) in enumerate(zip(operators, tier_sizes)):
-        if len(indices) not in (1, size):
-            fail("operators",
-                 f"tier {t} needs 1 or {size} indices, has {len(indices)}")
-        for idx in indices:
-            if not 0 <= idx < library_size:
-                fail("operators", f"index {idx} out of range [0, {library_size - 1}]")
-    sampling = get("sampling_factors") or [1] * len(tier_sizes)
-    if len(sampling) != len(tier_sizes):
-        fail("sampling_factors",
-             f"has {len(sampling)} entries, tier_sizes has {len(tier_sizes)}")
-    if any(s == 0 for s in sampling):
-        fail("sampling_factors", "entries must be nonzero")
-    init = get("init")
-    if init not in ("uniform", "fan_in"):
-        fail("init", f"must be 'uniform' or 'fan_in', got {init!r}")
-    if get("cut") == 0:
-        fail("cut", "must be nonzero")
-    # weights are drawn from U(-b, b), whose width 2b must be a finite float
-    if not 0 <= get("init_bound") <= sys.float_info.max / 2:
-        fail("init_bound", f"must be in [0, {sys.float_info.max / 2!r}]")
-    for key in checkpoint.type_hints(NetworkConfig):  # and those no rule read
-        get(key)
+    def __post_init__(self):
+        checkpoint.check_types(self, "network")
+        sizes = self.tier_sizes
+        if self.in_channels < 1:
+            raise BrokenRule("network", "in_channels", "must be at least 1")
+        if not sizes:
+            raise BrokenRule("network", "tier_sizes", "must hold at least one value")
+        if any(s < 1 for s in sizes):
+            raise BrokenRule("network", "tier_sizes", "entries must be at least 1")
+        if len(self.kernel_sizes) != len(sizes):
+            raise BrokenRule("network", "kernel_sizes",
+                             f"has {len(self.kernel_sizes)} entries, "
+                             f"tier_sizes has {len(sizes)}")
+        for k in self.kernel_sizes:
+            if k < 1 or k % 2 == 0:
+                raise BrokenRule("network", "kernel_sizes",
+                                 f"entries must be odd and positive, got {k}")
+        if len(self.operators) != len(sizes):
+            raise BrokenRule("network", "operators",
+                             f"names {len(self.operators)} tiers, network has "
+                             f"{len(sizes)}")
+        for t, (indices, size) in enumerate(zip(self.operators, sizes)):
+            if len(indices) not in (1, size):
+                raise BrokenRule("network", "operators", f"tier {t} needs 1 or "
+                                 f"{size} indices, has {len(indices)}")
+        if not self.sampling_factors:
+            object.__setattr__(self, "sampling_factors", [1] * len(sizes))
+        if len(self.sampling_factors) != len(sizes):
+            raise BrokenRule("network", "sampling_factors",
+                             f"has {len(self.sampling_factors)} entries, "
+                             f"tier_sizes has {len(sizes)}")
+        if 0 in self.sampling_factors:
+            raise BrokenRule("network", "sampling_factors",
+                             "entries must be nonzero")
+        if self.init not in ("uniform", "fan_in"):
+            raise BrokenRule("network", "init", "must be 'uniform' or 'fan_in', "
+                             f"got {self.init!r}")
+        if self.cut == 0:
+            raise BrokenRule("network", "cut", "must be nonzero")
+        # weights are drawn from U(-b, b), whose width 2b must be a finite float
+        if not 0 <= self.init_bound <= sys.float_info.max / 2:
+            raise BrokenRule("network", "init_bound",
+                             f"must be in [0, {sys.float_info.max / 2!r}]")
 
 
-def _fail(key: str, rule: str):
-    raise ValidationError(f"network: {key} {rule}")
+def check_operator_indices(config: NetworkConfig,
+                           library: OperatorSetLibrary) -> None:
+    """Raise BrokenRule("network", "operators", ...) unless the library
+    decodes every operator set index of the config."""
+    for idx in (i for tier in config.operators for i in tier):
+        if not 0 <= idx < len(library):
+            raise BrokenRule("network", "operators", f"index {idx} out of "
+                             f"range [0, {len(library) - 1}]")
 
 
 class OpBlock:
@@ -240,20 +247,20 @@ class OpTier:
 
 class OpNetwork:
     """A chain of tiers mapping [C_in, M, N] images to [K_last, M', N'],
-    built from a config check_network_config accepts (else ValidationError
-    "network: <field> <rule>"), its indices decoded in library."""
+    built from a config whose indices library decodes (else BrokenRule
+    "network: operators index <i> out of range ...")."""
 
     def __init__(self, config: NetworkConfig,
                  library: OperatorSetLibrary | None = None):
         lib = library or register_builtin_library()
-        check_network_config(functools.partial(getattr, config), len(lib), _fail)
+        check_operator_indices(config, lib)
         self.in_channels = channels = config.in_channels
         self.constants = OperatorConstants(config.k_sin, config.k_chirp, config.cut)
         self.init = (config.init, config.init_bound)
         self.tiers: list[OpTier] = []
         for t, (size, ks, indices, s) in enumerate(zip(
                 config.tier_sizes, config.kernel_sizes, config.operators,
-                config.sampling_factors or [1] * len(config.tier_sizes))):
+                config.sampling_factors)):
             opsets = [lib.decode(i) for i in indices]  # a lone index serves every block
             self.tiers.append(OpTier(channels, size, (ks, ks),
                                      opsets * (size // len(opsets)), s, str(t)))

@@ -18,12 +18,13 @@ given one, the text of the configuration it ran. The archive does not
 describe the network. load restores the state into a network the caller
 built, so training continues exactly where it stopped, bit for bit; the
 command line builds that network from the configuration, a library caller
-from its own OpNetwork(NetworkConfig(...)) call.
+from its own OpNetwork(NetworkConfig(...)) call. A TrainerConfig checks
+the [trainer] rules when it is built, so load reports an archived
+trainer/config that breaks one as CorruptState naming the entry.
 """
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import math
@@ -40,6 +41,7 @@ from . import checkpoint, optim
 from .autograd import Parameter, Tape
 from .dataio import FoldSplit, PairedImageDataset
 from .errors import (
+    BrokenRule,
     ConstantTarget,
     CorruptState,
     NonFiniteGradient,
@@ -113,9 +115,11 @@ def resolve_metrics(pairs, supplied=()) -> list[MetricSpec]:
     return [MetricSpec(name, known[name].compute, crit) for name, crit in pairs]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainerConfig:
-    """Knobs of one training session."""
+    """Knobs of one training session, the [trainer] keys but metrics.
+    Built, it holds each field's annotated type (all checked first) and
+    the section's rules, else BrokenRule("trainer", field, rule)."""
 
     num_epochs: int
     num_runs: int = 1
@@ -130,29 +134,21 @@ class TrainerConfig:
     seed: int = 0
     model_name: str = "model"
 
-
-def check_trainer_config(get, fail) -> None:
-    """Call fail(field, rule), which raises, on the first field that breaks
-    a [trainer] rule, reading each value as get(field) as it checks it:
-    _Section.get on config text, so the first broken or missing key is the
-    one reported, or getattr on a built config. A field holds its
-    annotation's type (checkpoint.holds); every type is checked first."""
-    get = checkpoint.typed(TrainerConfig, get, fail)
-    for key in checkpoint.type_hints(TrainerConfig):
-        get(key)
-    if get("optimizer") not in optim.SUPPORTED:
-        fail("optimizer", f"must be one of {', '.join(optim.SUPPORTED)}, "
-                          f"got {get('optimizer')!r}")
-    for key, least in (("num_epochs", 1), ("num_runs", 1), ("batch_size", 1),
-                       ("seed", 0), ("momentum", 0), ("eps", 0)):
-        if get(key) < least:
-            fail(key, f"must be at least {least}")
-    for key in ("beta1", "beta2"):
-        if not 0 <= get(key) < 1:
-            fail(key, "must be in [0, 1)")
-    for key in ("lr", "lr_decay"):
-        if get(key) <= 0:
-            fail(key, "must be positive")
+    def __post_init__(self):
+        checkpoint.check_types(self, "trainer")
+        if self.optimizer not in optim.SUPPORTED:
+            raise BrokenRule("trainer", "optimizer", "must be one of "
+                             f"{', '.join(optim.SUPPORTED)}, got {self.optimizer!r}")
+        for key, least in (("num_epochs", 1), ("num_runs", 1), ("batch_size", 1),
+                           ("seed", 0), ("momentum", 0), ("eps", 0)):
+            if getattr(self, key) < least:
+                raise BrokenRule("trainer", key, f"must be at least {least}")
+        for key in ("beta1", "beta2"):
+            if not 0 <= getattr(self, key) < 1:
+                raise BrokenRule("trainer", key, "must be in [0, 1)")
+        for key in ("lr", "lr_decay"):
+            if getattr(self, key) <= 0:
+                raise BrokenRule("trainer", key, "must be positive")
 
 
 @dataclass
@@ -240,7 +236,6 @@ class Trainer:
         self._rng: np.random.Generator | None = None
         self._run = 0
         self._epoch = 0
-        optim.make_optimizer(cfg.optimizer)  # fail early on unknown names
         sample_in, sample_out = split.train.pairs[0]
         net.check_fit(sample_in.shape, sample_out.shape)
 
@@ -277,7 +272,7 @@ class Trainer:
         train = self.split.train
         order = self._rng.permutation(len(train))
         params = self.net.parameters()
-        batch = max(1, self.cfg.batch_size)
+        batch = self.cfg.batch_size
         last_loss = math.nan
         for lo in range(0, len(order), batch):
             idx = order[lo:lo + batch]
@@ -425,11 +420,8 @@ class Trainer:
         except TypeError as e:
             raise CorruptState(f"entry 'trainer/config' is no TrainerConfig: "
                                f"{e}") from e
-
-        def corrupt(key: str, rule: str):
-            raise CorruptState(f"entry 'trainer/config': {key} {rule}")
-
-        check_trainer_config(functools.partial(getattr, cfg), corrupt)
+        except BrokenRule as e:
+            raise CorruptState(f"entry 'trainer/config': {e.key} {e.rule}") from e
         archived = checkpoint.read_json(entries, "trainer/metrics",
                                         list[tuple[str, str]], [])
         trainer = cls(net, split, cfg, resolve_metrics(archived, metrics or ()),

@@ -1,7 +1,6 @@
 """CLI: config grammar, error lines, commands end to end, exit codes."""
 import contextlib
 import dataclasses
-import functools
 import io
 import json
 import re
@@ -17,12 +16,11 @@ from hypothesis import strategies as st
 import onnkit.autograd as ag
 import onnkit.checkpoint as ckpt_mod
 import onnkit.cli as cli_mod
+import onnkit.network as network_mod
 from onnkit.cli import (
     DataConfig,
     FullConfig,
     NetworkConfig,
-    check_data_config,
-    check_network_config,
     cmd_eval,
     cmd_gradcheck,
     format_config,
@@ -36,7 +34,7 @@ from onnkit.oplib import (
     add_custom_operator,
     register_builtin_library,
 )
-from onnkit.trainer import Trainer, TrainerConfig, check_trainer_config
+from onnkit.trainer import Trainer, TrainerConfig
 
 BASE = """\
 [network]
@@ -102,7 +100,6 @@ def test_a_network_config_without_sampling_factors_round_trips():
                                    operators=[[0], [2]]),
                      TrainerConfig(num_epochs=1), DataConfig(task="identity"))
     text = format_config(cfg)
-    assert "sampling_factors" not in text
     expected = dataclasses.replace(cfg.network, sampling_factors=[1, 1])
     assert parse_config(text) == dataclasses.replace(cfg, network=expected)
 
@@ -142,6 +139,9 @@ def test_validation_errors_name_section_and_line():
         parse_config(BASE.replace("metrics = snr", "metrics = psnr"))
     with pytest.raises(ValidationError, match="criterion must be max or min"):
         parse_config(BASE.replace("metrics = snr", "metrics = snr:avg"))
+    with pytest.raises(ValidationError,
+                       match="trainer: line 11: metrics names 'snr' twice"):
+        parse_config(BASE.replace("metrics = snr", "metrics = snr, snr:min"))
     with pytest.raises(ValidationError, match="path.*required"):
         parse_config(BASE.replace("task = identity", "task = folder"))
     with pytest.raises(ValidationError, match="network in_channels"):
@@ -151,7 +151,8 @@ def test_validation_errors_name_section_and_line():
 
 
 def test_line_numbers_survive_comments_and_blanks():
-    text = "# header\n\n[network]\n; note\ntier_sizes = 0\n"
+    text = ("# header\n\n[network]\n; note\ntier_sizes = 0\n"
+            "kernel_sizes = 3\noperators = 2\n")
     with pytest.raises(ValidationError, match="network: line 5: tier_sizes"):
         parse_config(text)
 
@@ -263,9 +264,10 @@ def full_configs(draw):
         folds=draw(st.integers(1, 20)),
         val_fraction=draw(st.floats(0.0, 1.0, exclude_max=True)),
         seed=draw(st.integers(0, 2**64)))
+    # a metric may be named once
     metrics = draw(st.lists(st.tuples(st.just("snr"),
                                       st.sampled_from(["max", "min"])),
-                            max_size=2))
+                            max_size=2, unique_by=lambda pair: pair[0]))
     return FullConfig(network, trainer, data, metrics)
 
 
@@ -278,15 +280,8 @@ def test_parse_inverts_format_on_every_valid_config(cfg):
 @settings(max_examples=200, deadline=None)
 @given(full_configs())
 def test_every_valid_config_passes_the_section_checkers_as_built(cfg):
-    # the getattr path the overrides and archives take accepts every
-    # config the text path parses
-    def fail(key, rule):
-        raise AssertionError(f"{key} {rule}")
-
-    check_network_config(functools.partial(getattr, cfg.network),
-                         len(register_builtin_library()), fail)
-    check_trainer_config(functools.partial(getattr, cfg.trainer), fail)
-    check_data_config(functools.partial(getattr, cfg.data), fail)
+    # every config the text path parses was built, so checked, by
+    # full_configs; OpNetwork accepts its operator set indices too
     OpNetwork(cfg.network)
 
 
@@ -315,7 +310,8 @@ def test_format_config_writes_a_str_field_iff_the_text_holds_it(name):
 
 def test_train_refuses_a_name_its_archived_text_cannot_hold(tmp_path):
     cfg = parse_config(BASE)
-    cfg.trainer = dataclasses.replace(cfg.trainer, model_name="run 1 #2")
+    cfg = dataclasses.replace(cfg, trainer=dataclasses.replace(
+        cfg.trainer, model_name="run 1 #2"))
     with pytest.raises(ValidationError,
                        match=r"^trainer: model_name 'run 1 #2' cannot"):
         cli_mod.cmd_train(cfg, tmp_path / "out")
@@ -525,7 +521,9 @@ def test_archives_hold_the_effective_config_and_no_network_entry(tmp_path):
     assert main(["train", "--config", str(path), "--out", str(out),
                  "--folds", "3", "--seed", "4"]) == 0
     want = parse_config(path.read_text())
-    want.data.folds, want.trainer.seed = 3, 4
+    want = dataclasses.replace(
+        want, data=dataclasses.replace(want.data, folds=3),
+        trainer=dataclasses.replace(want.trainer, seed=4))
     for fold in range(3):
         ckpt = out / f"fold{fold}.ckpt"
         entries = ckpt_mod.load(ckpt)
@@ -1018,16 +1016,22 @@ def test_a_zero_folds_override_is_a_data_error(base_out, tmp_path, command):
 ], ids=["train", "gradcheck", "describe", "eval"])
 def test_every_command_checks_the_config_it_is_given(
         base_out, tmp_path, command, section, change, message):
-    # a library caller hands the command a built config, not text
+    # a library caller hands the command a built config, not text: a
+    # broken trainer seed fails as the config is built, an operator set
+    # index the library lacks when the command decodes it
     out, _ = base_out
-    cfg = parse_config(BASE)
-    setattr(cfg, section, dataclasses.replace(getattr(cfg, section), **change))
+    base = parse_config(BASE)
     quiet = io.StringIO()
-    run = {"train": lambda: cli_mod.cmd_train(cfg, tmp_path / "x"),
-           "gradcheck": lambda: cmd_gradcheck(cfg, stream=quiet),
-           "describe": lambda: cli_mod.cmd_describe(cfg, stream=quiet),
-           "eval": lambda: cmd_eval(str(out / "fold0.ckpt"), cfg,
-                                    stream=quiet)}[command]
+
+    def run():
+        cfg = dataclasses.replace(base, **{section: dataclasses.replace(
+            getattr(base, section), **change)})
+        {"train": lambda: cli_mod.cmd_train(cfg, tmp_path / "x"),
+         "gradcheck": lambda: cmd_gradcheck(cfg, stream=quiet),
+         "describe": lambda: cli_mod.cmd_describe(cfg, stream=quiet),
+         "eval": lambda: cmd_eval(str(out / "fold0.ckpt"), cfg,
+                                  stream=quiet)}[command]()
+
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         run()
     assert quiet.getvalue() == "" and not (tmp_path / "x").exists()
@@ -1038,14 +1042,15 @@ def test_every_command_checks_the_config_it_is_given(
     ([("snr", "avg")], "metrics criterion must be max or min, got 'avg'"),
     ([("snr",)], "metrics must be a list of (name, criterion) pairs, "
                  "got [('snr',)]"),
-], ids=["name", "criterion", "pair"])
+    ([("snr", "max"), ("snr", "min")], "metrics names 'snr' twice"),
+], ids=["name", "criterion", "pair", "twice"])
 def test_train_checks_the_metrics_of_a_built_config(tmp_path, monkeypatch,
                                                     metrics, message):
     # a library caller's metrics break the rules the text's metrics key
     # follows: one config error line, exit 1, nothing written
     cfg = parse_config(BASE)
-    cfg.metrics = metrics
-    monkeypatch.setattr(cli_mod, "_load_config", lambda args: cfg)
+    monkeypatch.setattr(cli_mod, "_load_config",
+                        lambda args: dataclasses.replace(cfg, metrics=metrics))
     out = tmp_path / "x"
     assert run_cli(["train", "--config", "unused", "--out", str(out)]) == (
         1, [], [f"error: trainer: {message}"])
@@ -1068,3 +1073,51 @@ def test_eval_decodes_its_archive_once(base_out, monkeypatch):
     calls.clear()
     assert cmd_eval(str(out / "fold0.ckpt"), stream=io.StringIO()) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"count": "3"}, "count must be a int, got '3'"),
+    ({"size": 2.5}, "size must be a int, got 2.5"),
+    ({"folds": True}, "folds must be a int, got True"),
+    ({"path": 3}, "path must be a str | None, got 3"),
+], ids=["count-str", "size-float", "folds-bool", "path-int"])
+def test_a_mistyped_data_field_fails_at_construction(change, message):
+    # describe would otherwise end in a bare TypeError (count, size) or
+    # cut the data into True folds
+    with pytest.raises(ValidationError, match=f"^data: {re.escape(message)}$"):
+        DataConfig(task="identity", **change)
+
+
+@pytest.mark.parametrize("command,folds_checks,decodes", [
+    ("describe", 0, 2), ("gradcheck", 0, 2), ("train", 2, 3), ("eval", 1, 2),
+])
+def test_a_command_checks_each_config_section_once(
+        base_out, tmp_path, monkeypatch, command, folds_checks, decodes):
+    # the text's sections are checked as they are built; the trainer again
+    # for each fold's seed (train) or the archived trainer/config (eval),
+    # the operator set indices where the text is parsed and where a
+    # network or gradcheck decodes them
+    out, path = base_out
+    counts = dict.fromkeys(["network", "trainer", "data", "full", "indices"], 0)
+
+    def count(owner, name, key):
+        original = getattr(owner, name, lambda *args: None)
+
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted, raising=False)
+
+    for owner, key in ((NetworkConfig, "network"), (TrainerConfig, "trainer"),
+                       (DataConfig, "data"), (FullConfig, "full")):
+        count(owner, "__post_init__", key)
+    for module in (cli_mod, network_mod):
+        count(module, "check_operator_indices", "indices")
+    argv = {"describe": ["--config", str(path)],
+            "gradcheck": ["--config", str(path)],
+            "train": ["--config", str(path), "--out", str(tmp_path / "x")],
+            "eval": ["--ckpt", str(out / "fold0.ckpt")]}[command]
+    code, _, err = run_cli([command, *argv])
+    assert (code, err) == (0, [])
+    assert counts == {"network": 1, "trainer": 1 + folds_checks, "data": 1,
+                      "full": 1, "indices": decodes}

@@ -16,7 +16,7 @@ from onnkit.errors import (
     NonFiniteLoss,
     NonFiniteValue,
     ShapeMismatch,
-    UnknownOptimizer,
+    ValidationError,
 )
 from onnkit.network import NetworkConfig, OpNetwork
 from onnkit.oplib import register_builtin_library
@@ -231,9 +231,9 @@ def test_divergence_during_evaluation_leaves_no_partial_epoch():
 
 
 def test_unknown_optimizer_fails_at_construction():
-    cfg = TrainerConfig(num_epochs=1, num_runs=1, optimizer="cgd")
-    with pytest.raises(UnknownOptimizer):
-        make_trainer(cfg)
+    with pytest.raises(ValidationError, match="^trainer: optimizer must be "
+                                              "one of sgd, adam, got 'cgd'$"):
+        TrainerConfig(num_epochs=1, num_runs=1, optimizer="cgd")
 
 
 def test_output_shape_mismatch_fails_at_construction():
