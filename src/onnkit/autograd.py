@@ -11,6 +11,11 @@ mul's backward forms each tracked operand's gradient as one np.einsum
 contraction of the upstream gradient with the other operand over the axes
 along which that operand was broadcast: the broadcast product is never
 formed. An operand that was not broadcast gets the plain product.
+reduce_sum gives the bits np.sum gives on C-order values whatever the
+layout: a strided trailing axis, such as the patch axis of a patch matrix
+that swapped_layout stored patch-major, is added slice by slice in
+numpy's pairwise order. No op calls BLAS, so the bits do not depend on
+its thread count.
 
 A tape lives for one backward: backward returns every leaf's gradient and
 releases the tape, after which using it raises DetachedRoot. Ops on
@@ -359,6 +364,9 @@ def clamp(x, low: float, high: float) -> Variable:
 # --- reductions ---
 
 def reduce_sum(x, axis: int) -> Variable:
+    """Sum over one axis. A trailing axis that is strided in memory is
+    added up by whole slices, with the bits np.sum gives on the same
+    values in C order."""
     x = as_variable(x)
     ndim = len(x.shape)
     if not -ndim <= axis < ndim:
@@ -367,11 +375,56 @@ def reduce_sum(x, axis: int) -> Variable:
     if x.shape[axis] == 0:
         raise EmptyAxis(f"cannot reduce axis {axis} with extent 0")
     in_shape = x.shape
+    xd = x.value
+    if axis == ndim - 1 and xd.strides[-1] != xd.itemsize:
+        out = _pairwise_slices(xd)
+        out += 0.0  # np.sum adds its rows to the identity 0.0
+    else:
+        out = xd.sum(axis=axis)
 
     def grad_fn(g: Array):
         return (np.broadcast_to(np.expand_dims(g, axis), in_shape),)
 
-    return record((x,), x.value.sum(axis=axis), grad_fn)
+    return record((x,), out, grad_fn)
+
+
+def _pairwise_slices(x: Array) -> Array:
+    """The sum of x over its trailing axis in numpy's pairwise order, each
+    step adding whole slices x[..., i].
+
+    numpy sums a row of up to 8 entries in order, and up to 128 in eight
+    accumulators, one per position modulo 8, combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) before the last n % 8 entries are
+    added in order; a longer row is split in two halves, the first a
+    multiple of 8 long. Every addition keeps numpy's operand order, so a
+    result differs from x.sum(axis=-1) in no bit but a NaN's.
+    """
+    n = x.shape[-1]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        out = _pairwise_slices(x[..., :half])
+        out += _pairwise_slices(x[..., half:])
+        return out
+    if n < 8:
+        out = x[..., 0].copy()
+        rest = range(1, n)
+    else:
+        end = n - n % 8
+        # the 8 accumulators side by side on a trailing axis of 8
+        r = x[..., :8]
+        if end > 8:
+            r = r + x[..., 8:16]
+            for i in range(16, end, 8):
+                r += x[..., i:i + 8]
+        out = r[..., 0] + r[..., 1]
+        out += r[..., 2] + r[..., 3]
+        high = r[..., 4] + r[..., 5]
+        high += r[..., 6] + r[..., 7]
+        out += high
+        rest = range(end, n)
+    for i in rest:
+        out += x[..., i]
+    return out
 
 
 def _median_pick(arr: Array) -> Array:
@@ -448,6 +501,19 @@ def reshape(x, new_shape: Sequence[int]) -> Variable:
         return (np.reshape(g, in_shape),)
 
     return record((x,), np.reshape(x.value, new_shape), grad_fn)
+
+
+def swapped_layout(x) -> Variable:
+    """x's values in a copy that stores its last two axes swapped in
+    memory. The shape and every value stay, so the gradient passes
+    straight through; only the strides differ."""
+    x = as_variable(x)
+    out = np.ascontiguousarray(np.swapaxes(x.value, -1, -2)).swapaxes(-1, -2)
+
+    def grad_fn(g: Array):
+        return (g,)
+
+    return record((x,), out, grad_fn)
 
 
 def stack(parts: Sequence[Variable], axis: int = 0) -> Variable:

@@ -17,6 +17,14 @@ finally resamples spatially. Every stage is elementwise or reduces
 along one axis, so a block's output has the same bits however many
 blocks share its group.
 
+The groups under the built-in sum pool (Operator.sums) share one copy of
+the patch matrix per forward, of the same shape and values but stored
+patch-major, [1, C, m*n, M*N] in memory. Their nodal output keeps that
+layout, so the nodal stage runs M*N-long inner loops and reduce_sum adds
+whole contiguous slices, in numpy's pairwise order: every output bit is
+the one the row-major matrix gives. Every other group, and
+check_operator_set_gradients' probes, get the row-major matrix.
+
 A median or max pool hands each output pixel's gradient to one patch
 entry, its winner. A taped pass therefore evaluates such a group's nodal
 stage on constants, picks the winners [G, C, M*N] there and tapes the
@@ -232,13 +240,18 @@ class OpTier:
         self.output_spatial((mm, nn))
         plan = patchops.get_plan(mm, nn, *self.kernel)
         patches = patchops.unfold(ag.reshape(x, (1, c, mm, nn)), plan)
+        # one patch-major copy for the sum-pool groups; the selection
+        # pools' reshapes would copy it again, which made ref-hetero slower
+        major = (ag.swapped_layout(patches)
+                 if any(opset.pool.sums for opset, _, _ in self.groups) else None)
         leaf = tape.watch if tape is not None else lambda p: ag.as_variable(p.value)
         outputs = []
         for opset, blocks, _ in self.groups:
             weights = ag.stack([leaf(blk.weights) for blk in blocks])
             bias = ag.reshape(ag.stack([leaf(blk.bias) for blk in blocks]),
                               (len(blocks), 1, 1))
-            outputs.append(block_forward(opset, weights, bias, patches,
+            outputs.append(block_forward(opset, weights, bias,
+                                         major if opset.pool.sums else patches,
                                          (mm, nn), constants))
         out = outputs[0] if len(outputs) == 1 else ag.place_rows(
             outputs, [rows for _, _, rows in self.groups])

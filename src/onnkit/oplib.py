@@ -56,12 +56,16 @@ class Operator:
     select marks a built-in selection pool by its reduction ("max" or
     "median"): such a pool returns the winner of each patch row times the
     patch length, so a taped pass evaluates its nodal stage on the winners
-    only (see network.block_forward).
+    only (see network.block_forward). sums marks the built-in sum pool,
+    whose reduce_sum adds a strided patch axis by whole slices: a tier
+    hands its groups the patch matrix stored patch-major (see
+    network.OpTier.forward).
     """
 
     name: str
     fn: Callable[..., Variable]
     select: str | None = None
+    sums: bool = False
 
 
 # the stages of an operator set, in enumeration order (nodal-major)
@@ -147,7 +151,7 @@ BUILTIN_NODAL = (
 )
 
 BUILTIN_POOL = (
-    Operator("sum", _pool_sum),
+    Operator("sum", _pool_sum, sums=True),
     _selection_pool("median"),
     _selection_pool("max"),
 )
@@ -293,7 +297,11 @@ def add_custom_operator(lib: OperatorSetLibrary, kind: str, name: str, forward,
     taped pass under a median or max pool a nodal operator is also
     called on the winning pairs, w and y both [G, C, M*N]; a hand-written
     backward must therefore sum each gradient over the axes its input was
-    broadcast along, whichever they are. Returns the same library, updated.
+    broadcast along, whichever they are. Under the built-in sum pool a
+    nodal operator receives y with patch-major strides, stored as
+    [1, C, m*n, M*N]: the same shape and values, so a hand-written
+    backward must not assume C order; other pools see a row-major z.
+    Returns the same library, updated.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown operator kind {kind!r}")

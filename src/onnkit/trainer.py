@@ -48,6 +48,7 @@ from .errors import (
     NonFiniteLoss,
     NonFiniteValue,
     ShapeMismatch,
+    ValidationError,
 )
 from .network import OpNetwork, network_forward
 from .tensor import Tensor
@@ -163,10 +164,16 @@ class BestEntry:
 
 class TrainingRecord:
     """Per-epoch series, per-image times and run status of a session,
-    for each of its partitions and metrics."""
+    for each of its partitions and metrics; a metric named twice is a
+    ValidationError."""
 
     def __init__(self, partitions: list[str], metrics: list[MetricSpec],
                  fold: int = 0):
+        named = set()
+        for m in metrics:
+            if m.name in named:
+                raise ValidationError(f"metric {m.name!r} is named twice")
+            named.add(m.name)
         self.partitions = partitions
         self.metrics = metrics
         self.fold = fold
@@ -424,8 +431,11 @@ class Trainer:
             raise CorruptState(f"entry 'trainer/config': {e.key} {e.rule}") from e
         archived = checkpoint.read_json(entries, "trainer/metrics",
                                         list[tuple[str, str]], [])
-        trainer = cls(net, split, cfg, resolve_metrics(archived, metrics or ()),
-                      checkpoint.read_text(entries, "config/text", None))
+        try:
+            trainer = cls(net, split, cfg, resolve_metrics(archived, metrics or ()),
+                          checkpoint.read_text(entries, "config/text", None))
+        except ValidationError as e:  # the record's metrics are the archive's
+            raise CorruptState(f"entry 'trainer/metrics': {e}") from e
         staged = [Parameter(p.name, p.value) for p in net.parameters()]
         for p in staged:
             p.assign(Tensor(stored[p.name]))

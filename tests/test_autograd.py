@@ -303,6 +303,35 @@ def test_mul_gradients_do_not_depend_on_operand_alignment(sw, sp):
         assert x.tobytes() == y.tobytes()
 
 
+def _nan_as_one(a: np.ndarray) -> bytes:
+    """a's bytes with every NaN made the same NaN. Which of two NaN
+    operands an addition keeps depends on numpy's code path (x + y on
+    arrays of 8 and of 9 NaN pairs keep different signs), so a NaN sum is
+    checked for being NaN, not for its bits."""
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 600), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_a_trailing_sum_has_the_bits_of_np_sum_in_either_layout(n, rows, seed):
+    rng = np.random.default_rng(seed)
+    shape = (rows, 3, n)
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+    special = rng.random(values.shape) < rng.choice([0.0, 0.02, 0.3])
+    values[special] = rng.choice([0.0, -0.0, math.inf, -math.inf, math.nan, 1e308],
+                                 special.sum())
+    values[0, 0] = rng.choice([0.0, -0.0], n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = values.sum(axis=-1)
+        # C order, and the layout a tier hands a sum pool: the last two
+        # axes swapped in memory, so each slice [..., i] is contiguous
+        c_order, swapped = ag.as_variable(values), ag.swapped_layout(values)
+        assert c_order.value.flags.c_contiguous
+        assert swapped.value.strides[-2] == values.itemsize
+        for x in (c_order, swapped):
+            assert _nan_as_one(ag.reduce_sum(x, -1).value) == _nan_as_one(want)
+
+
 def test_composed_elementwise_chain_passes_gradcheck():
     rng = np.random.default_rng(21)
     x = Tensor(rng.uniform(-0.5, 0.5, size=(3, 3)))

@@ -3,7 +3,9 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -547,6 +549,69 @@ def test_an_archive_with_a_network_entry_still_evaluates():
                for line in lines)
 
 
+# tier 1 is shaped like the reference network's: 12 channels, 7x7 kernels,
+# 8x8 pixels and 16 (mul, sum) blocks beside 16 (cubic, median) ones. Its
+# weight gradient contracts [16, 64] with [64, 588]; as a matrix product
+# over the patch-major patches, OpenBLAS 0.3.31 gives that other bytes on
+# 2 threads than on 1
+BLAS_CFG = """\
+[network]
+tier_sizes = 12, 32, 1
+kernel_sizes = 3, 7, 3
+operators = 4 / """ + ", ".join(["0", "13"] * 16) + """ / 2
+sampling_factors = 2, -2, 1
+
+[trainer]
+num_epochs = 2
+batch_size = 2
+metrics = snr
+
+[data]
+task = nonlinear-map
+count = 4
+size = 16
+folds = 1
+val_fraction = 0.5
+"""
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _onnkit_child(argv, threads):
+    """Run the onnkit CLI in a child process whose BLAS libraries may use
+    this many threads; only the child's environment is set."""
+    src = str(Path(cli_mod.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, **dict.fromkeys(BLAS_THREAD_VARS, str(threads)),
+           "PYTHONPATH": pythonpath}
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from onnkit import cli; "
+         "sys.exit(cli.main(sys.argv[1:]))", *argv],
+        env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_archives_do_not_depend_on_the_blas_thread_count(tmp_path):
+    path = write_config(tmp_path, BLAS_CFG)
+    archives = {}
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        proc = _onnkit_child(["train", "--config", str(path), "--out", str(out)],
+                             threads)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        archives[threads] = out / "fold0.ckpt"
+    one, two = (ckpt_mod.load(archives[t]) for t in (1, 2))
+    assert sorted(one) == sorted(two)
+    timing = re.compile(r"stats/[^/]+/per_image_time_s/")
+    for name, value in one.items():
+        if not timing.match(name):
+            assert np.asarray(value).tobytes() == np.asarray(two[name]).tobytes(), name
+    # each archive's bests re-evaluate bitwise at the other thread count
+    for threads, ckpt in ((2, archives[1]), (1, archives[2])):
+        proc = _onnkit_child(["eval", "--ckpt", str(ckpt)], threads)
+        lines = proc.stdout.splitlines()
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert lines and all(line.endswith(", match") for line in lines)
+
+
 def _config_with(**change):
     return lambda e: json.dumps({**json.loads(e["trainer/config"]),
                                  **change}).encode()
@@ -585,6 +650,9 @@ def _test_loss_best_copied_to(base):
     ("rng/state", lambda e: b'{"a": 1}', "'rng/state' is no PCG64 state"),
     ("trainer/metrics", lambda e: b'[["loss", "min"], ["snr", "avg"]]',
      "metric 'snr' has criterion 'avg', not max or min"),
+    ("trainer/metrics",
+     lambda e: b'[["loss", "min"], ["snr", "max"], ["snr", "min"]]',
+     "entry 'trainer/metrics': metric 'snr' is named twice"),
     ("stats/train/loss/run0", lambda e: b"x",
      "'stats/train/loss/run0' must hold a float64 array"),
     ("param/0/0/bias", lambda e: b"x",
@@ -613,8 +681,8 @@ def _test_loss_best_copied_to(base):
 ], ids=["run-empty", "fold-empty", "best-epoch-float", "best-value-two",
         "status-json", "config-key", "config-str-int", "config-seed",
         "config-float-int", "config-float", "text-utf8", "rng-state",
-        "metric-criterion", "stats-bytes", "param-bytes", "param-u64",
-        "best-param-bytes", "best-param-shape", "opt-slot-bytes",
+        "metric-criterion", "metric-twice", "stats-bytes", "param-bytes",
+        "param-u64", "best-param-bytes", "best-param-shape", "opt-slot-bytes",
         "opt-hyper-bytes", "best-unknown-metric", "best-unknown-partition",
         "partitions-int", "metric-unpaired", "metric-str", "status-int"])
 def test_a_corrupt_archive_entry_is_one_runtime_error_naming_it(

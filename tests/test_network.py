@@ -368,6 +368,51 @@ def test_a_taped_selection_group_matches_the_dense_composition(lib):
     assert (2, 2, 36, 9) not in shapes
 
 
+@pytest.mark.parametrize("kernel", [1, 3, 5, 7, 21])
+def test_sum_groups_share_one_patch_major_copy_and_keep_every_bit(
+        lib, monkeypatch, kernel):
+    sets = [lib.set_by_names(*names).index for names in (
+        ("mul", "sum", "tanh"), ("cubic", "sum", "lincut"),
+        ("cubic", "median", "lincut"))]
+    net = OpNetwork(NetworkConfig(in_channels=2, tier_sizes=[5],
+                                  kernel_sizes=[kernel],
+                                  operators=[sets + sets[:2]],
+                                  init="uniform", init_bound=0.5), lib)
+    net.reset_parameters(kernel)
+    tier = net.tiers[0]
+    for k, blk in enumerate(tier.blocks):
+        blk.bias.assign(Tensor(0.05 * k - 0.1))
+    x = Tensor(np.random.default_rng(kernel).uniform(-1.0, 1.0, (2, 7, 5)))
+    plan = patchops.get_plan(7, 5, kernel, kernel)
+    # the dense composition over the row-major patch matrix
+    patches = patchops.unfold(x.data[np.newaxis], plan)
+    want = autograd_mod.place_rows([dense_group(
+        opset, np.stack([b.weights.value.data for b in blocks]),
+        np.stack([b.bias.value.data for b in blocks]).reshape(-1, 1, 1),
+        patches, (7, 5), net.constants) for opset, blocks, _ in tier.groups],
+        [rows for *_, rows in tier.groups]).value
+    unfolds, copies = [], []
+    original_unfold = network_mod.patchops.unfold
+    original_copy = autograd_mod.swapped_layout
+
+    def counting(x, plan):
+        unfolds.append(1)
+        return original_unfold(x, plan)
+
+    def copying(x):
+        out = original_copy(x)
+        copies.append(out.value.strides[-2] == out.value.itemsize)
+        return out
+
+    monkeypatch.setattr(network_mod.patchops, "unfold", counting)
+    monkeypatch.setattr(autograd_mod, "swapped_layout", copying)
+    for tape in (None, Tape()):
+        got = tier.forward(autograd_mod.as_variable(x), tape, net.constants)
+        assert got.value.tobytes() == want.tobytes()
+    # one unfold and one patch-major copy per forward
+    assert len(unfolds) == 2 and copies == [True, True]
+
+
 def test_an_overflow_off_the_winners_aborts_a_taped_step(lib, monkeypatch):
     exp_median = lib.set_by_names("exp", "median", "tanh").index
     net = OpNetwork(NetworkConfig(tier_sizes=[1], kernel_sizes=[3],

@@ -254,6 +254,13 @@ def test_evaluate_reports_all_metrics():
     assert values["loss"] > 0
 
 
+def test_a_trainer_refuses_a_metric_named_twice():
+    snr_min = MetricSpec("snr", calc_snr, "min")
+    with pytest.raises(ValidationError, match="metric 'snr' is named twice"):
+        Trainer(conv_net(), identity_split(), TrainerConfig(num_epochs=1),
+                metrics=[BUILTIN_METRICS["snr"], snr_min])
+
+
 def test_save_load_resume_matches_straight_run_bitwise(tmp_path):
     split = identity_split()
     base = dict(num_runs=1, optimizer="sgd", lr=0.05, momentum=0.9,
