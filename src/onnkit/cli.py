@@ -63,6 +63,7 @@ from .oplib import OperatorSetLibrary, register_builtin_library
 from .tensor import Tensor
 from .trainer import (
     BUILTIN_METRICS,
+    LOSS_METRIC,
     PARTITIONS,
     Trainer,
     TrainerConfig,
@@ -103,8 +104,8 @@ class DataConfig:
 class FullConfig:
     """The three sections and the metrics key. Built, every (name,
     criterion) pair of metrics names a built-in metric, once, and max or
-    min (loss, always tracked, may be named), and the data has the
-    network's input channels."""
+    min (loss, always tracked, may be named, with min), and the data has
+    the network's input channels."""
     network: NetworkConfig
     trainer: TrainerConfig
     data: DataConfig
@@ -116,14 +117,15 @@ class FullConfig:
                              f"criterion) pairs, got {self.metrics!r}")
         named = set()
         for name, crit in self.metrics:
-            if name == "loss":
-                continue
-            if name not in BUILTIN_METRICS:
+            if name not in BUILTIN_METRICS and name != "loss":
                 raise BrokenRule("trainer", "metrics", f"unknown metric {name!r}; "
                                  f"builtin: {', '.join(sorted(BUILTIN_METRICS))}")
             if crit not in ("max", "min"):
                 raise BrokenRule("trainer", "metrics",
                                  f"criterion must be max or min, got {crit!r}")
+            if name == "loss" and crit != "min":
+                raise BrokenRule("trainer", "metrics",
+                                 f"criterion of loss must be min, got {crit!r}")
             if name in named:
                 raise BrokenRule("trainer", "metrics", f"names {name!r} twice")
             named.add(name)
@@ -249,11 +251,10 @@ def parse_config(text: str,
         metrics: list[tuple[str, str]] = []
         raw = sections.get("trainer", {}).get("metrics")
         items = _convert("trainer", "metrics", raw.value, list[str]) if raw else []
-        for item in items:
+        for item in items:  # an empty criterion is the metric's own
             name, _, crit = map(str.strip, item.partition(":"))
-            if name != "loss":  # an empty criterion is the metric's own
-                spec = BUILTIN_METRICS.get(name)
-                metrics.append((name, crit or (spec.criterion if spec else "")))
+            spec = LOSS_METRIC if name == "loss" else BUILTIN_METRICS.get(name)
+            metrics.append((name, crit or (spec.criterion if spec else "")))
         data = _build(sections, "data", DataConfig)
         return FullConfig(network, trainer, data, metrics)
     except BrokenRule as e:
@@ -444,9 +445,12 @@ def _archived_config_text(entries: dict) -> str:
 
 def cmd_eval(ckpt_path, cfg: FullConfig | None = None,
              library: OperatorSetLibrary | None = None, stream=None) -> int:
-    """Re-evaluate every archived best. ckpt_path is an archive path or the
-    entries checkpoint.load decoded from one; cfg defaults to the
-    configuration the archive holds."""
+    """Re-evaluate every archived best. Each distinct (partition, parameter
+    state) runs once, and every metric's recorded value is checked against
+    that state's result; a state is its parameters' exact bytes, so bests
+    that share a run and epoch but not their parameters each run. ckpt_path
+    is an archive path or the entries checkpoint.load decoded from one; cfg
+    defaults to the configuration the archive holds."""
     stream = stream or sys.stdout
     lib = library or register_builtin_library()
     entries = (ckpt_path if isinstance(ckpt_path, dict)
@@ -467,11 +471,16 @@ def cmd_eval(ckpt_path, cfg: FullConfig | None = None,
                 f"config: checkpoint holds bests on the {partition} "
                 f"partition, but the configuration leaves it empty")
     trainer = Trainer.load(entries, network_from_config(cfg, lib), split)
+    params = trainer.net.parameters()
+    results: dict[tuple, dict[str, float]] = {}
     mismatches = 0
     for (partition, metric), best in sorted(trainer.best.items()):
-        for p in trainer.net.parameters():
-            p.assign(Tensor(best.params[p.name]))
-        value = trainer.evaluate(partition)[metric]
+        state = (partition, *(best.params[p.name].tobytes() for p in params))
+        if state not in results:
+            for p in params:
+                p.assign(Tensor(best.params[p.name]))
+            results[state] = trainer.evaluate(partition)
+        value = results[state][metric]
         same = value == best.value
         if not same:
             mismatches += 1

@@ -3,8 +3,9 @@
 A session runs the configured number of independent runs. Run r resets the
 network parameters with seed XOR r and shuffles minibatches with its own
 seeded generator, so every run (and every rerun of the session) is exactly
-reproducible. Mean squared error is the loss and is always tracked as a
-metric; further metrics are evaluated on every partition after each epoch.
+reproducible. Mean squared error is the loss and is always tracked as the
+first metric; naming it among the metrics is allowed once, with criterion
+min. Further metrics are evaluated on every partition after each epoch.
 
 For every (partition, metric) pair the best value seen so far is kept
 together with the run, the epoch and a snapshot of the parameters that
@@ -234,10 +235,17 @@ class Trainer:
         self.split = split
         self.cfg = cfg
         self.config_text = config_text
+        # the loss is always tracked, first; naming it restates its criterion
+        metrics = list(metrics or ())
+        named = next((m for m in metrics if m.name == "loss"), None)
+        if named is not None:
+            if named.criterion != "min":
+                raise ValidationError(f"metric 'loss' has criterion "
+                                      f"{named.criterion!r}, not min")
+            metrics.remove(named)
         self.record = TrainingRecord(
             [p for p in PARTITIONS if len(self._dataset(p)) > 0],
-            [LOSS_METRIC] + [m for m in metrics or () if m.name != "loss"],
-            split.fold)
+            [LOSS_METRIC, *metrics], split.fold)
         self.best: dict[tuple[str, str], BestEntry] = {}
         self.optimizer: optim.Optimizer | None = None
         self._rng: np.random.Generator | None = None

@@ -19,6 +19,7 @@ import onnkit.autograd as ag
 import onnkit.checkpoint as ckpt_mod
 import onnkit.cli as cli_mod
 import onnkit.network as network_mod
+import onnkit.trainer as trainer_mod
 from onnkit.cli import (
     DataConfig,
     FullConfig,
@@ -59,6 +60,10 @@ folds = 2
 val_fraction = 0.25
 """
 
+# written by onnkit when archives still described their network in an
+# arch/json entry beside config/text: fold 1 of BASE
+FIXTURE = Path(__file__).parent / "data" / "with_arch_json_fold1.ckpt"
+
 
 def test_parse_config_defaults_and_values():
     cfg = parse_config(BASE)
@@ -72,6 +77,13 @@ def test_parse_config_defaults_and_values():
     assert cfg.metrics == [("snr", "max")]
     assert cfg.data.task == "identity"
     assert cfg.data.folds == 2
+
+
+@pytest.mark.parametrize("metrics", ["loss, snr", "snr, loss:min"])
+def test_loss_may_be_named_once_as_a_min_metric(metrics):
+    cfg = parse_config(BASE.replace("metrics = snr", f"metrics = {metrics}"))
+    assert sorted(cfg.metrics) == [("loss", "min"), ("snr", "max")]
+    assert parse_config(format_config(cfg)) == cfg
 
 
 def test_operator_grammar_mixes_shared_and_per_block():
@@ -144,6 +156,12 @@ def test_validation_errors_name_section_and_line():
     with pytest.raises(ValidationError,
                        match="trainer: line 11: metrics names 'snr' twice"):
         parse_config(BASE.replace("metrics = snr", "metrics = snr, snr:min"))
+    with pytest.raises(ValidationError,
+                       match="trainer: line 11: metrics names 'loss' twice"):
+        parse_config(BASE.replace("metrics = snr", "metrics = loss, loss, snr"))
+    with pytest.raises(ValidationError, match="trainer: line 11: metrics "
+                       "criterion of loss must be min, got 'max'"):
+        parse_config(BASE.replace("metrics = snr", "metrics = loss:max, snr"))
     with pytest.raises(ValidationError, match="path.*required"):
         parse_config(BASE.replace("task = identity", "task = folder"))
     with pytest.raises(ValidationError, match="network in_channels"):
@@ -537,16 +555,85 @@ def test_archives_hold_the_effective_config_and_no_network_entry(tmp_path):
 
 
 def test_an_archive_with_a_network_entry_still_evaluates():
-    # written by onnkit when archives still described their network in an
-    # arch/json entry beside config/text: fold 1 of BASE; eval ignores
-    # the entry and builds the network from the archived config
-    ckpt = Path(__file__).parent / "data" / "with_arch_json_fold1.ckpt"
-    assert "arch/json" in ckpt_mod.load(ckpt)
-    code, lines, err = run_cli(["eval", "--ckpt", str(ckpt)])
+    # eval ignores the arch/json entry and builds the network from the
+    # archived config
+    assert "arch/json" in ckpt_mod.load(FIXTURE)
+    code, lines, err = run_cli(["eval", "--ckpt", str(FIXTURE)])
     assert (code, err) == (0, [])
     assert len(lines) == 6
     assert all(line.startswith("fold 1 ") and line.endswith(", match")
                for line in lines)
+
+
+def test_python_dash_m_onnkit_runs_the_cli():
+    proc = _onnkit_child(["eval", "--ckpt", str(FIXTURE)], threads=1)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len(proc.stdout.splitlines()) == 6
+
+
+def _bests(entries):
+    """(partition, metric) -> (value, run, epoch, parameter bytes) of each
+    best an archive holds, in the order eval prints them."""
+    bests = {}
+    for key in sorted(k for k in entries if k.startswith("best/")
+                      and k.endswith("/value")):
+        base = key[:-len("value")]
+        params = b"".join(entries[k].tobytes() for k in sorted(entries)
+                          if k.startswith(base + "param/"))
+        bests[tuple(base.split("/")[1:3])] = (
+            float(entries[key]), int(entries[base + "run"][0]),
+            int(entries[base + "epoch"][0]), params)
+    return bests
+
+
+def test_eval_runs_one_forward_per_partition_when_its_bests_share_a_state(
+        tmp_path, monkeypatch):
+    # train and test partitions: each one's loss and snr bests hold one
+    # parameter state, so eval needs one forward per partition, not per best
+    path = write_config(tmp_path, BASE.replace("val_fraction = 0.25",
+                                               "val_fraction = 0"))
+    out = tmp_path / "out"
+    assert run_cli(["train", "--config", str(path), "--out", str(out)])[0] == 0
+    ckpt = out / "fold0.ckpt"
+    bests = _bests(ckpt_mod.load(ckpt))
+    assert sorted(bests) == [("test", "loss"), ("test", "snr"),
+                             ("train", "loss"), ("train", "snr")]
+    for partition in ("test", "train"):
+        assert bests[partition, "loss"][3] == bests[partition, "snr"][3]
+    calls = []
+    forward = trainer_mod.network_forward
+
+    def counting_forward(*args, **kwargs):
+        calls.append(args)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(trainer_mod, "network_forward", counting_forward)
+    code, lines, err = run_cli(["eval", "--ckpt", str(ckpt)])
+    assert (code, err) == (0, [])
+    assert len(calls) == 2
+    # every line as it reads when each best re-runs alone and matches
+    assert lines == [
+        f"fold 0 {partition} {metric}: recorded {value:.17g} (run {run}, "
+        f"epoch {epoch}), re-evaluated {value:.17g}, match"
+        for (partition, metric), (value, run, epoch, _) in bests.items()]
+
+
+def test_eval_reports_a_changed_snr_best_weight_as_a_mismatch(tmp_path):
+    # the val loss and snr bests share run and epoch; only the snr best's
+    # parameters change, so its value must not be read off the loss state's
+    entries = ckpt_mod.load(FIXTURE)
+    name = "best/val/snr/param/0/0/weights"
+    weights = entries[name].copy()
+    weights.flat[0] += 0.25
+    entries[name] = weights
+    bests = _bests(entries)
+    assert bests["val", "snr"][1:3] == bests["val", "loss"][1:3]
+    path = tmp_path / "tampered.ckpt"
+    ckpt_mod.save(path, entries)
+    code, lines, err = run_cli(["eval", "--ckpt", str(path)])
+    assert (code, err) == (2, [])
+    assert [line.rsplit(", ", 1)[1] for line in lines] == [
+        "MISMATCH" if key == ("val", "snr") else "match" for key in bests]
 
 
 # tier 1 is shaped like the reference network's: 12 channels, 7x7 kernels,
@@ -583,10 +670,8 @@ def _onnkit_child(argv, threads):
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, **dict.fromkeys(BLAS_THREAD_VARS, str(threads)),
            "PYTHONPATH": pythonpath}
-    return subprocess.run(
-        [sys.executable, "-c", "import sys; from onnkit import cli; "
-         "sys.exit(cli.main(sys.argv[1:]))", *argv],
-        env=env, capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, "-m", "onnkit", *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
 
 
 def test_archives_do_not_depend_on_the_blas_thread_count(tmp_path):
@@ -653,6 +738,12 @@ def _test_loss_best_copied_to(base):
     ("trainer/metrics",
      lambda e: b'[["loss", "min"], ["snr", "max"], ["snr", "min"]]',
      "entry 'trainer/metrics': metric 'snr' is named twice"),
+    ("trainer/metrics",
+     lambda e: b'[["loss", "max"], ["loss", "min"], ["snr", "max"]]',
+     "entry 'trainer/metrics': metric 'loss' has criterion 'max', not min"),
+    ("trainer/metrics",
+     lambda e: b'[["loss", "min"], ["snr", "max"], ["loss", "min"]]',
+     "entry 'trainer/metrics': metric 'loss' is named twice"),
     ("stats/train/loss/run0", lambda e: b"x",
      "'stats/train/loss/run0' must hold a float64 array"),
     ("param/0/0/bias", lambda e: b"x",
@@ -681,14 +772,14 @@ def _test_loss_best_copied_to(base):
 ], ids=["run-empty", "fold-empty", "best-epoch-float", "best-value-two",
         "status-json", "config-key", "config-str-int", "config-seed",
         "config-float-int", "config-float", "text-utf8", "rng-state",
-        "metric-criterion", "metric-twice", "stats-bytes", "param-bytes",
+        "metric-criterion", "metric-twice", "loss-max", "loss-twice",
+        "stats-bytes", "param-bytes",
         "param-u64", "best-param-bytes", "best-param-shape", "opt-slot-bytes",
         "opt-hyper-bytes", "best-unknown-metric", "best-unknown-partition",
         "partitions-int", "metric-unpaired", "metric-str", "status-int"])
 def test_a_corrupt_archive_entry_is_one_runtime_error_naming_it(
         tmp_path, entry, tamper, message):
-    entries = ckpt_mod.load(Path(__file__).parent / "data"
-                            / "with_arch_json_fold1.ckpt")
+    entries = ckpt_mod.load(FIXTURE)
     entries[entry] = tamper(entries)
     path = tmp_path / "tampered.ckpt"
     ckpt_mod.save(path, entries)
@@ -1111,7 +1202,9 @@ def test_every_command_checks_the_config_it_is_given(
     ([("snr",)], "metrics must be a list of (name, criterion) pairs, "
                  "got [('snr',)]"),
     ([("snr", "max"), ("snr", "min")], "metrics names 'snr' twice"),
-], ids=["name", "criterion", "pair", "twice"])
+    ([("loss", "max")], "metrics criterion of loss must be min, got 'max'"),
+    ([("loss", "min"), ("loss", "min")], "metrics names 'loss' twice"),
+], ids=["name", "criterion", "pair", "twice", "loss-max", "loss-twice"])
 def test_train_checks_the_metrics_of_a_built_config(tmp_path, monkeypatch,
                                                     metrics, message):
     # a library caller's metrics break the rules the text's metrics key

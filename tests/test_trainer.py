@@ -261,6 +261,26 @@ def test_a_trainer_refuses_a_metric_named_twice():
                 metrics=[BUILTIN_METRICS["snr"], snr_min])
 
 
+@pytest.mark.parametrize("criteria,message", [
+    (["max"], "metric 'loss' has criterion 'max', not min"),
+    (["min", "max"], "metric 'loss' is named twice"),
+    (["min", "min"], "metric 'loss' is named twice"),
+], ids=["max", "twice", "twice-min"])
+def test_a_trainer_refuses_a_loss_that_is_maximised_or_named_twice(
+        criteria, message):
+    losses = [MetricSpec("loss", trainer_mod.LOSS_METRIC.compute, c)
+              for c in criteria]
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        Trainer(conv_net(), identity_split(), TrainerConfig(num_epochs=1),
+                metrics=[BUILTIN_METRICS["snr"], *losses])
+
+
+def test_a_loss_named_once_as_min_is_the_first_metric():
+    trainer = Trainer(conv_net(), identity_split(), TrainerConfig(num_epochs=1),
+                      metrics=[BUILTIN_METRICS["snr"], trainer_mod.LOSS_METRIC])
+    assert trainer.record.metric_names == ["loss", "snr"]
+
+
 def test_save_load_resume_matches_straight_run_bitwise(tmp_path):
     split = identity_split()
     base = dict(num_runs=1, optimizer="sgd", lr=0.05, momentum=0.9,
