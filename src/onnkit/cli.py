@@ -21,7 +21,9 @@ by '#' or ';' is rejected. Each of the four config dataclasses is frozen
 and checks its section's rules when it is built (BrokenRule "<section>:
 <key> <rule>"), so a config given to a command, the --seed and --folds
 overrides (dataclasses.replace) and an archived trainer/config meet the
-rules the text does; parse_config adds the failing key's line. Operator
+rules the text does; parse_config adds the failing key's line. The metrics
+key's rules are trainer.resolve_metrics, which a Trainer's specs and an
+archived trainer/metrics go through too, with the same texts. Operator
 set indices are checked against the library when the text is parsed and
 when OpNetwork or gradcheck decodes them. A tier chain not mapping the
 [channels, size, size] images onto targets of that shape is a config error.
@@ -102,10 +104,9 @@ class DataConfig:
 
 @dataclass(frozen=True)
 class FullConfig:
-    """The three sections and the metrics key. Built, every (name,
-    criterion) pair of metrics names a built-in metric, once, and max or
-    min (loss, always tracked, may be named, with min), and the data has
-    the network's input channels."""
+    """The three sections and the metrics key. Built, metrics is a list of
+    (name, criterion) pairs keeping trainer.resolve_metrics' rules, and
+    the data has the network's input channels."""
     network: NetworkConfig
     trainer: TrainerConfig
     data: DataConfig
@@ -115,20 +116,7 @@ class FullConfig:
         if not checkpoint.holds(self.metrics, list[tuple[str, str]]):
             raise BrokenRule("trainer", "metrics", "must be a list of (name, "
                              f"criterion) pairs, got {self.metrics!r}")
-        named = set()
-        for name, crit in self.metrics:
-            if name not in BUILTIN_METRICS and name != "loss":
-                raise BrokenRule("trainer", "metrics", f"unknown metric {name!r}; "
-                                 f"builtin: {', '.join(sorted(BUILTIN_METRICS))}")
-            if crit not in ("max", "min"):
-                raise BrokenRule("trainer", "metrics",
-                                 f"criterion must be max or min, got {crit!r}")
-            if name == "loss" and crit != "min":
-                raise BrokenRule("trainer", "metrics",
-                                 f"criterion of loss must be min, got {crit!r}")
-            if name in named:
-                raise BrokenRule("trainer", "metrics", f"names {name!r} twice")
-            named.add(name)
+        resolve_metrics(self.metrics)
         if self.data.channels != self.network.in_channels:
             raise BrokenRule("data", "channels", f"is {self.data.channels}, "
                              f"network in_channels is {self.network.in_channels}")

@@ -143,13 +143,9 @@ class OpBlock:
 
     def __init__(self, in_channels: int, kernel: tuple[int, int],
                  opset: OperatorSet, name: str):
-        m, n = kernel
-        self.in_channels = in_channels
-        self.kernel = (m, n)
         self.opset = opset
-        self.name = name
         self.weights = Parameter(f"{name}/weights",
-                                 Tensor(np.zeros((in_channels, m, n))))
+                                 Tensor(np.zeros((in_channels, *kernel))))
         self.bias = Parameter(f"{name}/bias", Tensor(0.0))
 
     def parameters(self) -> list[Parameter]:

@@ -5,7 +5,8 @@ network parameters with seed XOR r and shuffles minibatches with its own
 seeded generator, so every run (and every rerun of the session) is exactly
 reproducible. Mean squared error is the loss and is always tracked as the
 first metric; naming it among the metrics is allowed once, with criterion
-min. Further metrics are evaluated on every partition after each epoch.
+min and its own compute. Further metrics are evaluated on every partition
+after each epoch. resolve_metrics checks a metric list, wherever it is from.
 
 For every (partition, metric) pair the best value seen so far is kept
 together with the run, the epoch and a snapshot of the parameters that
@@ -49,7 +50,6 @@ from .errors import (
     NonFiniteLoss,
     NonFiniteValue,
     ShapeMismatch,
-    ValidationError,
 )
 from .network import OpNetwork, network_forward
 from .tensor import Tensor
@@ -102,19 +102,31 @@ BUILTIN_METRICS = {"snr": MetricSpec("snr", calc_snr, "max")}
 
 
 def resolve_metrics(pairs, supplied=()) -> list[MetricSpec]:
-    """The MetricSpecs of (name, criterion) pairs: each pair's criterion,
-    max or min, with the compute function of the supplied, else the
-    built-in, spec of its name."""
-    known = {m.name: m for m in (LOSS_METRIC, *BUILTIN_METRICS.values(),
-                                 *supplied)}
+    """LOSS_METRIC, then each other (name, criterion) pair with the compute
+    function of the supplied, else the built-in, spec of its name. Each
+    name is known and named once, each criterion max or min, loss's min,
+    and a supplied loss computes LOSS_METRIC's; else BrokenRule."""
+    def broken(rule):
+        raise BrokenRule("trainer", "metrics", rule)
+
+    if any(m.name == "loss" and m.compute is not LOSS_METRIC.compute
+           for m in supplied):
+        broken("compute of loss must be LOSS_METRIC's mean squared error")
+    known = {**BUILTIN_METRICS, **{m.name: m for m in supplied}}
+    named = set()
     for name, crit in pairs:
-        if name not in known:
-            raise CorruptState(f"metric {name!r} is not built in; pass its "
-                               f"MetricSpec")
+        if name not in known and name != "loss":
+            broken(f"unknown metric {name!r}; builtin: "
+                   f"{', '.join(sorted(BUILTIN_METRICS))}")
         if crit not in ("max", "min"):
-            raise CorruptState(f"metric {name!r} has criterion {crit!r}, "
-                               f"not max or min")
-    return [MetricSpec(name, known[name].compute, crit) for name, crit in pairs]
+            broken(f"criterion must be max or min, got {crit!r}")
+        if name == "loss" and crit != "min":
+            broken(f"criterion of loss must be min, got {crit!r}")
+        if name in named:
+            broken(f"names {name!r} twice")
+        named.add(name)
+    return [LOSS_METRIC, *(MetricSpec(name, known[name].compute, crit)
+                           for name, crit in pairs if name != "loss")]
 
 
 @dataclass(frozen=True)
@@ -165,16 +177,10 @@ class BestEntry:
 
 class TrainingRecord:
     """Per-epoch series, per-image times and run status of a session,
-    for each of its partitions and metrics; a metric named twice is a
-    ValidationError."""
+    for each of its partitions and metrics."""
 
     def __init__(self, partitions: list[str], metrics: list[MetricSpec],
                  fold: int = 0):
-        named = set()
-        for m in metrics:
-            if m.name in named:
-                raise ValidationError(f"metric {m.name!r} is named twice")
-            named.add(m.name)
         self.partitions = partitions
         self.metrics = metrics
         self.fold = fold
@@ -224,7 +230,8 @@ def _stack_pairs(dataset: PairedImageDataset, indices=None):
 
 
 class Trainer:
-    """Drives training of one network on one fold split."""
+    """Drives training of one network on one fold split. Its metrics are
+    resolve_metrics of the given specs' own (name, criterion) pairs."""
 
     def __init__(self, net: OpNetwork, split: FoldSplit, cfg: TrainerConfig,
                  metrics: list[MetricSpec] | None = None,
@@ -235,17 +242,11 @@ class Trainer:
         self.split = split
         self.cfg = cfg
         self.config_text = config_text
-        # the loss is always tracked, first; naming it restates its criterion
-        metrics = list(metrics or ())
-        named = next((m for m in metrics if m.name == "loss"), None)
-        if named is not None:
-            if named.criterion != "min":
-                raise ValidationError(f"metric 'loss' has criterion "
-                                      f"{named.criterion!r}, not min")
-            metrics.remove(named)
+        metrics = metrics or ()
         self.record = TrainingRecord(
             [p for p in PARTITIONS if len(self._dataset(p)) > 0],
-            [LOSS_METRIC, *metrics], split.fold)
+            resolve_metrics([(m.name, m.criterion) for m in metrics], metrics),
+            split.fold)
         self.best: dict[tuple[str, str], BestEntry] = {}
         self.optimizer: optim.Optimizer | None = None
         self._rng: np.random.Generator | None = None
@@ -419,13 +420,14 @@ class Trainer:
         missing and none extra (CorruptState), the same shapes
         (ShapeMismatch). Each best and nonempty optimizer slot holds them
         all in those shapes, each best is of a partition and metric the
-        archive was trained on, `trainer/config` keeps the [trainer] rules
-        and `split`'s nonempty partitions are the archive's (CorruptState).
-        Metric compute functions cannot live in the archive: each
-        archived metric keeps its archived criterion and takes its
-        compute function from the spec of its name in `metrics`, else
-        from the builtin one.
+        archive was trained on, `trainer/config` and `trainer/metrics` keep
+        their rules and `split`'s nonempty partitions are the archive's
+        (CorruptState). Metric compute functions cannot live in the
+        archive: each archived metric keeps its archived criterion and
+        takes its compute function from the spec of its name in
+        `metrics` (checked before any entry is read), else the builtin one.
         """
+        resolve_metrics((), metrics or ())
         entries = path if isinstance(path, dict) else checkpoint.load(path)
         shapes = {p.name: p.value.shape for p in net.parameters()}
         stored = checkpoint.read_arrays(entries, "param/", dict.fromkeys(shapes))
@@ -440,10 +442,11 @@ class Trainer:
         archived = checkpoint.read_json(entries, "trainer/metrics",
                                         list[tuple[str, str]], [])
         try:
-            trainer = cls(net, split, cfg, resolve_metrics(archived, metrics or ()),
-                          checkpoint.read_text(entries, "config/text", None))
-        except ValidationError as e:  # the record's metrics are the archive's
-            raise CorruptState(f"entry 'trainer/metrics': {e}") from e
+            metrics = resolve_metrics(archived, metrics or ())
+        except BrokenRule as e:
+            raise CorruptState(f"entry 'trainer/metrics': {e.key} {e.rule}") from e
+        trainer = cls(net, split, cfg, metrics,
+                      checkpoint.read_text(entries, "config/text", None))
         staged = [Parameter(p.name, p.value) for p in net.parameters()]
         for p in staged:
             p.assign(Tensor(stored[p.name]))
@@ -541,7 +544,8 @@ def export_stats(records, out_dir) -> list[Path]:
     of every fold gets "<partition>_fold<id>.csv" with columns
     run, epoch, loss, <other metrics...>, per_image_time_s; "summary.csv"
     tabulates the best value per (partition, metric) for each fold plus
-    their mean and the mean per-image training time.
+    their mean and, for the row's partition, the mean over folds of each
+    fold's mean per-image time (the train partition's includes its updates).
     """
     if isinstance(records, TrainingRecord):
         records = [records]
@@ -573,16 +577,17 @@ def export_stats(records, out_dir) -> list[Path]:
                         + [f"fold_{f}" for f in fold_ids]
                         + ["mean", "mean_per_image_time_s"])
         for part in first.partitions:
+            times = [
+                float(np.mean([t for run in rec.times[part] for t in run]))
+                for rec in records if any(rec.times[part])
+            ]
+            mean_time = _fmt(float(np.mean(times)) if times else math.nan)
             for metric in first.metric_names:
                 values = [best_series_value(rec, part, metric)
                           for rec in records]
-                times = [
-                    float(np.mean([t for run in rec.times[part] for t in run]))
-                    for rec in records if any(rec.times[part])
-                ]
                 row = [part, metric] + [_fmt(v) for v in values]
                 row.append(_fmt(float(np.mean(values))))
-                row.append(_fmt(float(np.mean(times)) if times else math.nan))
+                row.append(mean_time)
                 writer.writerow(row)
     written.append(summary)
     return written

@@ -734,16 +734,16 @@ def _test_loss_best_copied_to(base):
     ("config/text", lambda e: b"\xff\xfe", "'config/text' is not UTF-8 text"),
     ("rng/state", lambda e: b'{"a": 1}', "'rng/state' is no PCG64 state"),
     ("trainer/metrics", lambda e: b'[["loss", "min"], ["snr", "avg"]]',
-     "metric 'snr' has criterion 'avg', not max or min"),
+     "entry 'trainer/metrics': metrics criterion must be max or min, got 'avg'"),
     ("trainer/metrics",
      lambda e: b'[["loss", "min"], ["snr", "max"], ["snr", "min"]]',
-     "entry 'trainer/metrics': metric 'snr' is named twice"),
+     "entry 'trainer/metrics': metrics names 'snr' twice"),
     ("trainer/metrics",
      lambda e: b'[["loss", "max"], ["loss", "min"], ["snr", "max"]]',
-     "entry 'trainer/metrics': metric 'loss' has criterion 'max', not min"),
+     "entry 'trainer/metrics': metrics criterion of loss must be min, got 'max'"),
     ("trainer/metrics",
      lambda e: b'[["loss", "min"], ["snr", "max"], ["loss", "min"]]',
-     "entry 'trainer/metrics': metric 'loss' is named twice"),
+     "entry 'trainer/metrics': metrics names 'loss' twice"),
     ("stats/train/loss/run0", lambda e: b"x",
      "'stats/train/loss/run0' must hold a float64 array"),
     ("param/0/0/bias", lambda e: b"x",
@@ -1216,6 +1216,39 @@ def test_train_checks_the_metrics_of_a_built_config(tmp_path, monkeypatch,
     assert run_cli(["train", "--config", "unused", "--out", str(out)]) == (
         1, [], [f"error: trainer: {message}"])
     assert not out.exists()
+
+
+@pytest.mark.parametrize("pairs,rule", [
+    ([("snr", "avg")], "criterion must be max or min, got 'avg'"),
+    ([("loss", "max"), ("snr", "max")], "criterion of loss must be min, got 'max'"),
+    ([("snr", "max"), ("snr", "min")], "names 'snr' twice"),
+    ([("loss", "min"), ("snr", "max"), ("loss", "min")], "names 'loss' twice"),
+], ids=["criterion", "loss-max", "twice", "loss-twice"])
+def test_a_metric_list_breaks_one_rule_with_one_text_from_every_source(
+        tmp_path, pairs, rule):
+    # the config text, a library caller's specs and an archive's entry
+    text = BASE.replace("metrics = snr", "metrics = " + ", ".join(
+        f"{name}:{crit}" for name, crit in pairs))
+    with pytest.raises(ValidationError,
+                       match=f"^trainer: line 11: metrics {re.escape(rule)}$"):
+        parse_config(text)
+
+    cfg = parse_config(BASE)
+    compute = {"loss": trainer_mod.LOSS_METRIC.compute,
+               "snr": trainer_mod.calc_snr}
+    specs = [trainer_mod.MetricSpec(name, compute[name], crit)
+             for name, crit in pairs]
+    with pytest.raises(ValidationError,
+                       match=f"^trainer: metrics {re.escape(rule)}$"):
+        Trainer(OpNetwork(cfg.network), cli_mod._splits_from_config(cfg)[0],
+                cfg.trainer, specs)
+
+    entries = ckpt_mod.load(FIXTURE)
+    entries["trainer/metrics"] = json.dumps(pairs).encode()
+    path = tmp_path / "tampered.ckpt"
+    ckpt_mod.save(path, entries)
+    assert run_cli(["eval", "--ckpt", str(path)]) == (2, [], [
+        f"error: runtime: entry 'trainer/metrics': metrics {rule}"])
 
 
 def test_eval_decodes_its_archive_once(base_out, monkeypatch):

@@ -256,15 +256,16 @@ def test_evaluate_reports_all_metrics():
 
 def test_a_trainer_refuses_a_metric_named_twice():
     snr_min = MetricSpec("snr", calc_snr, "min")
-    with pytest.raises(ValidationError, match="metric 'snr' is named twice"):
+    with pytest.raises(ValidationError, match="trainer: metrics names 'snr' twice"):
         Trainer(conv_net(), identity_split(), TrainerConfig(num_epochs=1),
                 metrics=[BUILTIN_METRICS["snr"], snr_min])
 
 
 @pytest.mark.parametrize("criteria,message", [
-    (["max"], "metric 'loss' has criterion 'max', not min"),
-    (["min", "max"], "metric 'loss' is named twice"),
-    (["min", "min"], "metric 'loss' is named twice"),
+    (["max"], "trainer: metrics criterion of loss must be min, got 'max'"),
+    # the second loss breaks the criterion rule before it repeats the name
+    (["min", "max"], "trainer: metrics criterion of loss must be min, got 'max'"),
+    (["min", "min"], "trainer: metrics names 'loss' twice"),
 ], ids=["max", "twice", "twice-min"])
 def test_a_trainer_refuses_a_loss_that_is_maximised_or_named_twice(
         criteria, message):
@@ -273,6 +274,38 @@ def test_a_trainer_refuses_a_loss_that_is_maximised_or_named_twice(
     with pytest.raises(ValidationError, match=f"^{message}$"):
         Trainer(conv_net(), identity_split(), TrainerConfig(num_epochs=1),
                 metrics=[BUILTIN_METRICS["snr"], *losses])
+
+
+def test_a_trainer_refuses_a_criterion_other_than_max_or_min():
+    # "Max" once trained, minimising snr, into an archive its own load refused
+    with pytest.raises(ValidationError, match="^trainer: metrics criterion "
+                       "must be max or min, got 'Max'$"):
+        Trainer(conv_net(), identity_split(), TrainerConfig(num_epochs=1),
+                metrics=[MetricSpec("snr", calc_snr, "Max")])
+
+
+def mean_abs_error(pred, target):
+    return float(np.abs(pred.data - target.data).mean())
+
+
+LOSS_RULE = ("^trainer: metrics compute of loss must be LOSS_METRIC's mean "
+             "squared error$")
+
+
+def test_a_loss_spec_computing_anything_but_the_mse_is_refused(tmp_path):
+    mae_loss = MetricSpec("loss", mean_abs_error, "min")
+    split = identity_split()
+    with pytest.raises(ValidationError, match=LOSS_RULE):
+        Trainer(conv_net(), split, TrainerConfig(num_epochs=1),
+                metrics=[mae_loss])
+    trainer = make_trainer(TrainerConfig(num_epochs=1), split)
+    trainer.train()
+    trainer.save_all(tmp_path / "t.ckpt")
+    # the caller's specs, not the archive, are at fault: no CorruptState,
+    # even for an archive that cannot be read
+    for path in (tmp_path / "t.ckpt", tmp_path / "missing.ckpt"):
+        with pytest.raises(ValidationError, match=LOSS_RULE):
+            Trainer.load(path, conv_net(), split, metrics=[mae_loss])
 
 
 def test_a_loss_named_once_as_min_is_the_first_metric():
